@@ -21,6 +21,7 @@ from .conjugacy_twists import (
 )
 from .errors import (
     CensusAssertionError,
+    CensusConfigMismatchError,
     DegenerateInputError,
     DynresError,
     IndeterminatePointError,

@@ -23,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .conjugacy_twists import bucket_twists
-from .errors import CensusAssertionError, InvalidArgumentError
+from .errors import CensusAssertionError, CensusConfigMismatchError, InvalidArgumentError
 from .exact_arithmetic import FactoredIdeal, rational_from_string, rational_to_string
 from .moduli_invariants import moduli_height
 from .morphism_space import MorphismModel, monomials
@@ -60,6 +60,24 @@ class CensusConfig:
     @property
     def full_pipeline(self) -> bool:
         return (self.n, self.d) == (1, 2)
+
+    def settings(self) -> dict:
+        """Everything that decides the bytes of the records stream and its summary."""
+        return {
+            "n": self.n,
+            "d": self.d,
+            "coeff_bound": self.coeff_bound,
+            "B": self.B,
+            "budget": {
+                "a_max": self.budget.a_max,
+                "translation_depth": self.budget.translation_depth,
+                "matrix_bound": self.budget.matrix_bound,
+            },
+        }
+
+    @property
+    def config_path(self) -> Path:
+        return Path(f"{self.output_prefix}.config.json")
 
     @property
     def records_path(self) -> Path:
@@ -223,17 +241,43 @@ def _recover_prefix(path: Path) -> list[str]:
     return keys
 
 
+def _bind_prefix(config: CensusConfig) -> None:
+    """Record the settings next to a new records file; on resume, insist they match.
+
+    A records file that is not empty must come with a config file holding the
+    same settings, so a resume never appends records computed under others.
+    """
+    settings = config.settings()
+    stored = None
+    if config.config_path.exists():
+        try:
+            stored = json.loads(config.config_path.read_text(encoding="utf-8"))
+        except ValueError:
+            stored = "unreadable"
+    if stored == settings:
+        return
+    records = config.records_path
+    if records.exists() and records.stat().st_size > 0:
+        found = "no config file" if stored is None else f"settings {stored}"
+        raise CensusConfigMismatchError(
+            f"{records} was written with {found}; refusing to resume it with settings {settings}"
+        )
+    config.config_path.write_text(json.dumps(settings, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
 def stream_records(config: CensusConfig, limit: int | None = None) -> int:
     """Compute and append records, skipping those already on disk.
 
     Enumeration order is deterministic, so an existing file must be a prefix
-    of the full stream; a corrupt tail (e.g. from a kill mid-write) is
+    of the full stream written under the same settings (checked against
+    ``PREFIX.config.json``); a corrupt tail (e.g. from a kill mid-write) is
     truncated before resuming.  Returns the number of records now persisted.
     ``limit`` bounds how many new records are written (test hook for
     interruption).
     """
     path = config.records_path
     path.parent.mkdir(parents=True, exist_ok=True)
+    _bind_prefix(config)
     existing = _recover_prefix(path)
     new_written = 0
     enumerated = 0
@@ -438,18 +482,7 @@ def run_census(config: CensusConfig) -> CensusSummary:
     """Stream all records, then summarize, asserting the census contracts."""
     stream_records(config)
     records = load_records(config.records_path)
-    meta = {
-        "n": config.n,
-        "d": config.d,
-        "coeff_bound": config.coeff_bound,
-        "B": config.B,
-        "budget": {
-            "a_max": config.budget.a_max,
-            "translation_depth": config.budget.translation_depth,
-            "matrix_bound": config.budget.matrix_bound,
-        },
-        "conventions": CONVENTIONS,
-    }
+    meta = {**config.settings(), "conventions": CONVENTIONS}
     summary = summarize_records(records, config.B, config.budget, meta)
     config.summary_path.write_text(
         json.dumps(summary.to_json(), sort_keys=True, indent=2) + "\n", encoding="utf-8"

@@ -44,7 +44,7 @@ SCHEMAS = {
     },
     "twist-test": {"status": "conjugate | not_conjugate | unknown", "witness": "matrix of string rationals or null"},
     "census": "flags --n --d --H --B [--budget AMAX[,DEPTH[,MBOUND]]] [--threads N] --out PREFIX;"
-    " writes PREFIX.records.jsonl, PREFIX.summary.json, PREFIX.report.txt",
+    " writes PREFIX.config.json, PREFIX.records.jsonl, PREFIX.summary.json, PREFIX.report.txt",
     "error": {"error": "code string", "message": "human-readable detail"},
 }
 

@@ -59,3 +59,9 @@ class CensusAssertionError(DynresError):
     def __init__(self, message: str, record=None):
         super().__init__(message)
         self.record = record
+
+
+class CensusConfigMismatchError(CensusAssertionError):
+    """A census prefix holds records written under other settings, or with none recorded."""
+
+    code = "census-config-mismatch"

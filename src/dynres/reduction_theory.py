@@ -4,10 +4,15 @@ The resultant exponent of a model at p is
 
     e_p = ord_p(Res) - (n+1) d^n * (minimal coefficient valuation),
 
-independent of the scaling of the model.  The minimal exponent over the
-Q-rational conjugacy class is approached by a budgeted search over diagonal
-p-power scalings and (for n = 1) p-adic triangular translations.  Only a
-minimum of 0 is certified exact; every positive minimum is an upper bound.
+independent of the scaling of the model.  It is constant on GL_{n+1}(Z_p)
+orbits, so for n = 1 it is a function on the vertices of the Bruhat-Tits tree
+of PGL2(Q_p), convex along paths (Rumely, "The minimal resultant locus",
+2015).  For n = 1 the search walks that tree: from the current model it moves
+to the first of the p + 1 neighbouring vertices with a smaller exponent and
+stops where none is smaller, which is the minimum over PGL2(Q_p) and hence
+over the Q-rational class (Bruin-Molnar 2012).  For n >= 2 it is a budgeted
+search over diagonal p-power scalings.  Only a minimum of 0 is certified
+exact; every positive minimum is reported as an upper bound.
 
 The search scores a conjugate without recomputing its resultant: for an
 integer matrix F,
@@ -46,9 +51,11 @@ BAD_UPPER_BOUND = "bad_upper_bound"
 class SearchBudget:
     """Bounds for conjugator searches.
 
-    a_max bounds |exponent| in diagonal p-power moves, translation_depth is
-    the p-adic digit depth of triangular moves, matrix_bound caps the entry
-    height of conjugacy-witness matrices.
+    For n >= 2, a_max bounds |exponent| in diagonal p-power moves.  For n = 1
+    the budget only switches the tree walk on (a_max > 0 or
+    translation_depth > 0) or off; translation_depth bounds nothing else and
+    is kept because census summaries and the CLI's --budget carry it.
+    matrix_bound caps the entry height of conjugacy-witness matrices.
     """
 
     a_max: int
@@ -115,71 +122,22 @@ def exponent_step(n: int, d: int) -> int:
     return math.gcd(d**n * (n + d), (n + 1) * d**n)
 
 
-def _canonical_int_matrix(rows) -> tuple[tuple[int, ...], ...]:
-    """Scale a rational matrix to a primitive integer one with positive lead."""
-    flat = [Fraction(x) for row in rows for x in row]
-    lcm = 1
-    for x in flat:
-        lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in flat]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    lead = next(v for v in ints if v)
-    if lead < 0:
-        g = -g
-    ints = [v // g for v in ints]
-    size = len(rows)
-    return tuple(tuple(ints[i * size : (i + 1) * size]) for i in range(size))
-
-
 def search_moves(n: int, p: int, budget: SearchBudget):
-    """Deterministic conjugator candidates as primitive integer matrices.
+    """Diagonal p-power scalings diag(1, p^a_1, ..., p^a_n) with |a_i| <= 2 a_max.
 
-    Diagonal p-power scalings first (cheapest wins come early), then for
-    n = 1 the triangular translate-and-scale moves and their diagonal
-    products.
+    Each is yielded as a primitive integer matrix (exponents shifted to be
+    non-negative with one of them 0), smallest max |a_i| first.
     """
     amp = 2 * budget.a_max
-    seen = set()
-
-    def emit(rows):
-        key = _canonical_int_matrix(rows)
-        if key not in seen:
-            seen.add(key)
-            return key
-        return None
-
-    if n == 1:
-        for a in sorted(range(-amp, amp + 1), key=lambda x: (abs(x), x)):
-            if a == 0:
-                continue
-            mv = emit([[1, 0], [0, Fraction(p) ** a]])
-            if mv:
-                yield mv
-        depth = budget.translation_depth
-        for beta in range(1, p**depth):
-            for b in range(-depth, depth + 1):
-                off = beta * Fraction(p) ** b
-                for a in sorted(range(-amp, amp + 1), key=lambda x: (abs(x), x)):
-                    mv = emit([[1, off], [0, Fraction(p) ** a]])
-                    if mv:
-                        yield mv
-    else:
-        exps = sorted(range(-amp, amp + 1), key=lambda x: (abs(x), x))
-        stack = [()]
-        for _ in range(n):
-            stack = [t + (a,) for t in stack for a in exps]
-        for tail in sorted(stack, key=lambda t: (max(abs(a) for a in t), t)):
-            if all(a == 0 for a in tail):
-                continue
-            rows = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
-            rows[0][0] = Fraction(1)
-            for i, a in enumerate(tail, start=1):
-                rows[i][i] = Fraction(p) ** a
-            mv = emit(rows)
-            if mv:
-                yield mv
+    exps = sorted(range(-amp, amp + 1), key=lambda x: (abs(x), x))
+    stack = [()]
+    for _ in range(n):
+        stack = [t + (a,) for t in stack for a in exps]
+    for tail in sorted(stack, key=lambda t: (max(abs(a) for a in t), t)):
+        if all(a == 0 for a in tail):
+            continue
+        diag = [a - min(0, *tail) for a in (0,) + tail]
+        yield tuple(tuple(p**a if i == j else 0 for j in range(n + 1)) for i, a in enumerate(diag))
 
 
 def conjugated_exponent(prim: MorphismModel, p: int, v_res: int, fmat) -> int:
@@ -194,13 +152,40 @@ def conjugated_exponent(prim: MorphismModel, p: int, v_res: int, fmat) -> int:
     return v_res + d**n * (n + d) * _ord_int(det, p) - (n + 1) * d**n * minval
 
 
+def _descend(prim: MorphismModel, p: int, v_res: int, floor: int) -> int:
+    """Walk the tree while some neighbour has a smaller e_p; return the last e_p.
+
+    e_p is convex along paths of the tree (Rumely, "The minimal resultant
+    locus", 2015), so the vertex where the walk stops minimizes e_p over
+    PGL2(Q_p), as in Bruin-Molnar (2012).
+    """
+    # conjugators to the p + 1 neighbouring vertices: the index-p sublattices of Z_p^2
+    neighbours = [((1, 0), (0, p))] + [((p, a), (0, 1)) for a in range(p)]
+    best = v_res
+    while best > floor:
+        for fmat in neighbours:
+            e = conjugated_exponent(prim, p, best, fmat)
+            if e < best:
+                rows = [[int(c) for c in f.coeffs] for f in prim.forms]
+                conj = conjugate_integer_rows(rows, prim.n, prim.d, fmat)
+                prim = normalize_primitive(MorphismModel.from_coeff_lists(prim.n, prim.d, conj))
+                best = e
+                break
+        else:
+            break
+    return best
+
+
 def _minimize(prim: MorphismModel, p: int, v_res: int, budget: SearchBudget) -> LocalExponent:
     e_model = v_res  # primitive model has minimal coefficient valuation 0
     if e_model == 0:
         return LocalExponent(p, 0, 0, True)
     floor = e_model % exponent_step(prim.n, prim.d)
     best = e_model
-    if best > floor:
+    if prim.n == 1:
+        if budget.a_max > 0 or budget.translation_depth > 0:
+            best = _descend(prim, p, v_res, floor)
+    elif best > floor:
         for fmat in search_moves(prim.n, p, budget):
             e = conjugated_exponent(prim, p, v_res, fmat)
             if e < best:

@@ -6,6 +6,7 @@ import pytest
 
 from dynres import (
     CensusAssertionError,
+    CensusConfigMismatchError,
     CensusConfig,
     InvalidArgumentError,
     SearchBudget,
@@ -116,6 +117,34 @@ def test_resume_rejects_foreign_records(tmp_path):
     )
     with pytest.raises(CensusAssertionError):
         stream_records(clash)
+
+
+def test_resume_refuses_other_settings(tmp_path):
+    # an interrupted B=8 census resumed at B=2 without search would append
+    # records whose in_gamma and exponents follow other settings
+    first = _config(tmp_path, "mixed")
+    stream_records(first, limit=100)
+    written = first.records_path.read_bytes()
+    assert json.loads(first.config_path.read_text()) == first.settings()
+    resumed = _config(tmp_path, "mixed", B=2, budget=SearchBudget(0, 0, 0))
+    with pytest.raises(CensusConfigMismatchError) as info:
+        stream_records(resumed)
+    assert info.value.code == "census-config-mismatch"
+    assert first.records_path.read_bytes() == written
+
+    # the same settings resume, and the config stays out of the records stream
+    stream_records(first)
+    fresh = _config(tmp_path, "fresh")
+    stream_records(fresh)
+    assert first.records_path.read_bytes() == fresh.records_path.read_bytes()
+
+
+def test_resume_refuses_records_without_config(tmp_path):
+    config = _config(tmp_path, "orphan")
+    stream_records(config, limit=5)
+    config.config_path.unlink()
+    with pytest.raises(CensusConfigMismatchError):
+        stream_records(config)
 
 
 def test_threads_do_not_change_bytes(tmp_path):

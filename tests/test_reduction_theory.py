@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,8 +21,10 @@ from dynres import (
     normalize_primitive,
     reduction_report,
     s_b_primes,
+    sigma_invariants,
     valuation,
 )
+from dynres import reduction_theory
 from dynres.reduction_theory import ZERO_BUDGET, conjugated_exponent, exponent_step, search_moves
 
 
@@ -199,3 +203,105 @@ def test_minimize_certifies_only_zero(rng):
         entry = minimize_exponent(m, 2, default_budget(2))
         assert entry.certified == (entry.eps_estimate == 0)
         assert 0 <= entry.eps_estimate <= entry.e_model
+
+
+def test_search_moves_n2_list_pinned():
+    # diag(1, 2^a, 2^b) for |a|, |b| <= 2, shifted to a primitive integer matrix
+    expected = [
+        (2, 1, 1), (2, 1, 2), (2, 1, 4), (2, 2, 1), (1, 1, 2), (2, 4, 1), (1, 2, 1), (1, 2, 2),
+        (4, 1, 1), (4, 1, 2), (4, 1, 4), (4, 1, 8), (4, 1, 16), (4, 2, 1), (2, 1, 8), (4, 4, 1),
+        (1, 1, 4), (4, 8, 1), (1, 2, 4), (4, 16, 1), (2, 8, 1), (1, 4, 1), (1, 4, 2), (1, 4, 4),
+    ]
+    moves = list(search_moves(2, 2, SearchBudget(1, 0, 0)))
+    assert moves == [tuple(tuple(v if i == j else 0 for j in range(3)) for i, v in enumerate(diag)) for diag in expected]
+
+
+def _translation_grid(p, budget):
+    """The n = 1 move grid searched before the tree walk, as integer matrices.
+
+    Diagonal scalings diag(1, p^a), then the triangular moves
+    [[1, beta p^b], [0, p^a]] for 0 < beta < p^depth and |b| <= depth.
+    """
+    amp = 2 * budget.a_max
+    exps = sorted(range(-amp, amp + 1), key=lambda x: (abs(x), x))
+    depth = budget.translation_depth
+    offsets = [Fraction(0)] + [beta * Fraction(p) ** b for beta in range(1, p**depth) for b in range(-depth, depth + 1)]
+    for off in offsets:
+        for a in exps:
+            if off == 0 and a == 0:
+                continue
+            rows = [[Fraction(1), off], [Fraction(0), Fraction(p) ** a]]
+            lcm = math.lcm(*(x.denominator for row in rows for x in row))
+            yield tuple(tuple(int(x * lcm) for x in row) for row in rows)
+
+
+def _grid_minimum(model, p, budget):
+    prim = normalize_primitive(model)
+    v_res = valuation(macaulay_resultant(prim).value, p)
+    floor = v_res % exponent_step(1, prim.d)
+    best = v_res
+    for fmat in _translation_grid(p, budget):
+        if best <= floor:
+            break
+        best = min(best, conjugated_exponent(prim, p, v_res, fmat))
+    return best
+
+
+def test_tree_walk_never_above_translation_grid(rng):
+    lowered = 0
+    for _ in range(24):
+        d = rng.choice([2, 3])
+        p = rng.choice([2, 3, 5])
+        m = random_morphism(rng, 1, d, bound=4)
+        # move the model away from its minimal vertex so that the search has work to do
+        i, j = rng.randint(0, 2), rng.randint(0, 2)
+        rows = [[p**i, rng.randint(0, p * p)], [0, p**j]] if rng.random() < 0.5 else [[p**i, 0], [rng.randint(0, p * p), p**j]]
+        m = conjugate(m, LinearMap.from_rows(rows))
+        budget = default_budget(d)
+        walked = minimize_exponent(m, p, budget)
+        grid = _grid_minimum(m, p, budget)
+        assert walked.eps_estimate <= grid
+        lowered += grid < walked.e_model
+    assert lowered >= 8  # the oracle comparison is not vacuous
+
+
+def test_tree_walk_reaches_translation_only_minimum():
+    # z^2 moved two steps along the ((p, a), (0, 1)) edges: no diagonal
+    # scaling lowers e_p, and walking those edges back gives good reduction
+    for p, a in ((2, 1), (3, 2), (5, 3)):
+        back = LinearMap.from_rows([[1, -a], [0, p]])  # inverse of ((p, a), (0, 1)) up to scalars
+        m = normalize_primitive(conjugate(conjugate(z_squared(), back), back))
+        v_res = valuation(macaulay_resultant(m).value, p)
+        assert v_res > 0
+        assert min(conjugated_exponent(m, p, v_res, f) for f in search_moves(1, p, default_budget(2))) >= v_res
+        assert minimize_exponent(m, p, default_budget(2)) == LocalExponent(p, v_res, 0, True)
+
+
+def _cliff_model(rng, p):
+    """A model with |Res| = p^2 and p in a sigma denominator, coefficients in [-4, 4]."""
+    while True:
+        rows = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(2)]
+        if not any(any(row) for row in rows):
+            continue
+        model = normalize_primitive(bq(*rows[0], *rows[1]))
+        if abs(macaulay_resultant(model).value) == p * p and any(
+            s.denominator % p == 0 for s in sigma_invariants(model)
+        ):
+            return model
+
+
+def test_cliff_p17_scores_one_vertex(monkeypatch):
+    # 17 in a sigma denominator rules out good reduction at 17, so e_17 = 2 is
+    # already the minimum: the walk scores the 18 neighbours once and stops
+    model = _cliff_model(random.Random(17), 17)
+    calls = []
+    inner = reduction_theory.conjugated_exponent
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(reduction_theory, "conjugated_exponent", counted)
+    rep = reduction_report(model, default_budget(2))
+    assert [(e.p, e.e_model, e.eps_estimate) for e in rep.local] == [(17, 2, 2)]
+    assert 0 < len(calls) <= 17 + 1
