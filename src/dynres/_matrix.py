@@ -34,10 +34,6 @@ def mat_mul(a, b):
     return out
 
 
-def mat_scale(a, s):
-    return [[x * s for x in row] for row in a]
-
-
 def _require_square(m, allow_empty: bool = False):
     n = len(m)
     if n == 0 and not allow_empty:
@@ -85,9 +81,7 @@ def _integer_scaled(matrix):
     scale = 1
     for row in matrix:
         frow = [Fraction(x) for x in row]
-        lcm = 1
-        for x in frow:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
+        lcm = math.lcm(*[x.denominator for x in frow])
         rows.append([int(x * lcm) for x in frow])
         scale *= lcm
     return rows, scale
@@ -257,6 +251,3 @@ def mat_inverse(matrix):
                 a[i] = [x - lead * y for x, y in zip(a[i], a[k])]
     return [row[n:] for row in a]
 
-
-def mat_trace(matrix):
-    return sum(matrix[i][i] for i in range(len(matrix)))

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +23,7 @@ from pathlib import Path
 
 from .conjugacy_twists import bucket_twists
 from .errors import CensusAssertionError, CensusConfigMismatchError, InvalidArgumentError
-from .exact_arithmetic import FactoredIdeal, rational_from_string, rational_to_string
+from .exact_arithmetic import FactoredIdeal, primitive_integers, rational_from_string, rational_to_string
 from .moduli_invariants import moduli_height
 from .morphism_space import MorphismModel, monomials
 from .reduction_theory import LocalExponent, ReductionReport, SearchBudget, reduction_report, s_b_primes
@@ -176,15 +175,9 @@ def enumerate_models(n: int, d: int, coeff_bound: int):
     total = per_form * (n + 1)
     seen = set()
     for raw in itertools.product(range(-coeff_bound, coeff_bound + 1), repeat=total):
-        first = next((v for v in raw if v), None)
-        if first is None:
+        if not any(raw):
             continue
-        g = 0
-        for v in raw:
-            g = math.gcd(g, v)
-        if first < 0:
-            g = -g
-        key = tuple(v // g for v in raw)
+        key = primitive_integers(raw)
         if key in seen:
             continue
         seen.add(key)
@@ -376,7 +369,7 @@ def summarize_records(records: list[CensusRecord], B: int, budget: SearchBudget,
     key_to_class: dict[str, str] = {}
     if full:
         members = [r for r in records if r.norm <= B and r.mult_height <= B]
-        buckets = bucket_twists([r.model for r in members], budget)
+        buckets = bucket_twists([r.model for r in members], budget, [r.sigma for r in members])
         classes_json = []
         for bucket in buckets:
             for cls in bucket.classes:

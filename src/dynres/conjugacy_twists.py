@@ -10,22 +10,14 @@ ratio of their parameters is a rational square.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InvalidArgumentError, NotAMorphismError
-from .exact_arithmetic import is_perfect_square
+from .exact_arithmetic import is_perfect_square, primitive_integers
 from .moduli_invariants import sigma_invariants
-from .morphism_space import (
-    LinearMap,
-    MorphismModel,
-    canonical_integer_rows,
-    conjugate,
-    conjugate_integer_rows,
-    normalize_primitive,
-)
+from .morphism_space import LinearMap, MorphismModel, conjugate, conjugate_integer_rows
 from .reduction_theory import SearchBudget
 from .resultants import macaulay_resultant
 
@@ -79,32 +71,20 @@ def twist_family_test(b, c) -> bool:
 @lru_cache(maxsize=None)
 def _witness_candidates(bound: int) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
     """Primitive sign-canonical invertible integer 2x2 matrices, small first."""
-    seen = set()
-    out = []
-    for entries in itertools.product(range(-bound, bound + 1), repeat=4):
-        a, b, c, d = entries
-        if a * d - b * c == 0:
-            continue
-        g = math.gcd(math.gcd(abs(a), abs(b)), math.gcd(abs(c), abs(d)))
-        flat = tuple(v // g for v in entries)
-        first = next(v for v in flat if v)
-        if first < 0:
-            flat = tuple(-v for v in flat)
-        if flat not in seen:
-            seen.add(flat)
-            out.append(flat)
-    out.sort(key=lambda t: (max(abs(v) for v in t), sum(1 for v in t if v < 0), t))
+    grid = itertools.product(range(-bound, bound + 1), repeat=4)
+    prims = {primitive_integers(e) for e in grid if e[0] * e[3] - e[1] * e[2] != 0}
+    out = sorted(prims, key=lambda t: (max(abs(v) for v in t), sum(1 for v in t if v < 0), t))
     return tuple(((t[0], t[1]), (t[2], t[3])) for t in out)
 
 
 def _search_witness(phi: MorphismModel, psi: MorphismModel, budget: SearchBudget) -> LinearMap | None:
     """An integer matrix f with conjugate(psi, f) projectively equal to phi, if found."""
-    phi_key = canonical_integer_rows([[c for c in f.coeffs] for f in normalize_primitive(phi).forms])
-    psi_prim = normalize_primitive(psi)
-    psi_rows = [[int(c) for c in f.coeffs] for f in psi_prim.forms]
+    phi_key = primitive_integers(phi.all_coeffs())
+    psi_ints = primitive_integers(psi.all_coeffs())
+    psi_rows = [psi_ints[:3], psi_ints[3:]]
     for fmat in _witness_candidates(budget.matrix_bound):
         conj = conjugate_integer_rows(psi_rows, 1, 2, fmat)
-        if canonical_integer_rows(conj) == phi_key:
+        if primitive_integers(conj[0] + conj[1]) == phi_key:
             return LinearMap.from_rows(fmat)
     return None
 
@@ -129,14 +109,20 @@ def conjugacy_test(phi: MorphismModel, psi: MorphismModel, budget: SearchBudget)
     return ConjugacyVerdict(UNKNOWN)
 
 
-def bucket_twists(models, budget: SearchBudget) -> list[TwistBucket]:
-    """Group by exact sigma key, then partition each group by proven conjugacy."""
-    ordered = sorted(models, key=lambda m: m.canonical_key())
-    groups: dict[tuple[Fraction, Fraction], list[list[MorphismModel]]] = {}
-    for model in ordered:
+def bucket_twists(models, budget: SearchBudget, sigmas=None) -> list[TwistBucket]:
+    """Group by exact sigma key, then partition each group by proven conjugacy.
+
+    ``sigmas``, when given, holds each model's sigma_invariants in the order
+    of ``models`` (a census record stores it), so none is computed again.
+    """
+    models = list(models)
+    for model in models:
         if (model.n, model.d) != (1, 2):
             raise InvalidArgumentError("twist bucketing is implemented for n = 1, d = 2")
-        key = sigma_invariants(model)
+    if sigmas is None:
+        sigmas = [sigma_invariants(model) for model in models]
+    groups: dict[tuple[Fraction, Fraction], list[list[MorphismModel]]] = {}
+    for model, key in sorted(zip(models, sigmas, strict=True), key=lambda pair: pair[0].canonical_key()):
         classes = groups.setdefault(key, [])
         hits = []
         for i, cls in enumerate(classes):

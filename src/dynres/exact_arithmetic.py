@@ -230,6 +230,26 @@ def factor_integer(n: int, trial_bound: int = 10**6, rho_rounds: int = 40) -> di
     return dict(sorted(out.items()))
 
 
+def primitive_integers(values) -> tuple[int, ...]:
+    """The coprime integer vector on the line through a nonzero vector over Q.
+
+    ``values`` is a sequence of ints and Fractions.  Denominators are cleared,
+    the entries divided by their gcd, and the sign chosen so that the first
+    nonzero entry is positive.
+    """
+    ints = [v.numerator for v in values]
+    if any(v.denominator != 1 for v in values):
+        lcm = math.lcm(*[v.denominator for v in values])
+        ints = [v.numerator * (lcm // v.denominator) for v in values]
+    first = next((v for v in ints if v), 0)
+    if first == 0:
+        raise InvalidArgumentError("the zero vector has no primitive representative")
+    g = math.gcd(*ints)
+    if first < 0:
+        g = -g
+    return tuple([v // g for v in ints])
+
+
 def is_perfect_square(n: int) -> bool:
     if n < 0:
         return False

@@ -5,6 +5,16 @@ functions of the three fixed-point multipliers pins the conjugacy class, and
 the moduli height is the height of [sigma_1 : sigma_2 : 1].  Away from that
 case the coefficient height of the primitive model stands in as an explicitly
 flagged, model-dependent proxy.
+
+Multipliers are never computed one by one.  With f the monic polynomial of
+the affine fixed points and phi = p0/p1, the multiplier function is
+phi'(z) = r/s with r = p0' p1 - p0 p1' and s = p1^2.  An extended Euclid
+gives q = r * s^-1 mod f, and the sum of the j-th powers of the affine
+multipliers is sum_t (q^j mod f)_t * P_t, where P_t is the t-th power sum of
+the roots of f (Newton's identities on its coefficients).  s is invertible
+mod f for every morphism: a fixed root of p1 is a root of p0 = f + z p1, so
+the resultant would vanish.  A fixed point at infinity contributes its
+multiplier, read off in the w = 1/z chart, once per multiplicity.
 """
 
 from __future__ import annotations
@@ -13,15 +23,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _matrix
 from .errors import DegenerateInputError, InvalidArgumentError, NotAMorphismError
-from .morphism_space import (
-    HomogeneousForm,
-    LinearMap,
-    MorphismModel,
-    conjugate,
-    max_abs_coefficient,
-)
+from .exact_arithmetic import primitive_integers
+from .morphism_space import HomogeneousForm, MorphismModel, max_abs_coefficient
 from .resultants import macaulay_resultant
 
 SIGMA_INVARIANTS = "sigma_invariants"
@@ -103,47 +107,38 @@ def _poly_sub(a, b):
     return _poly_trim(out)
 
 
-def _poly_mod(a, m):
+def _poly_divmod(a, m):
+    """(quotient, remainder) of a by the nonzero polynomial m."""
     a = [Fraction(c) for c in a]
     dm = len(m) - 1
     lead = m[-1]
+    quot = [Fraction(0)] * max(len(a) - dm, 0)
     while len(a) - 1 >= dm and a:
         shift = len(a) - 1 - dm
         q = a[-1] / lead
+        quot[shift] = q
         for i in range(dm + 1):
             a[shift + i] -= q * m[i]
         _poly_trim(a)
-    return a
+    return _poly_trim(quot), a
 
 
-def _poly_gcd(a, b):
-    a, b = [Fraction(c) for c in a], [Fraction(c) for c in b]
-    while b:
-        a, b = b, _poly_mod(a, b)
-    return a
+def _poly_mod(a, m):
+    return _poly_divmod(a, m)[1]
 
 
-def _poly_eval_matrix(p, C):
-    n = len(C)
-    acc = _matrix.mat_scale(_matrix.identity(n), Fraction(0))
-    power = _matrix.identity(n)
-    for i, c in enumerate(p):
-        if c != 0:
-            acc = [[acc[r][s] + c * power[r][s] for s in range(n)] for r in range(n)]
-        if i + 1 < len(p):
-            power = _matrix.mat_mul(power, C)
-    return acc
-
-
-def _companion(monic):
-    """Companion matrix of a monic polynomial given ascending (constant first)."""
-    m = len(monic) - 1
-    C = [[Fraction(0)] * m for _ in range(m)]
-    for i in range(1, m):
-        C[i][i - 1] = Fraction(1)
-    for i in range(m):
-        C[i][m - 1] = -monic[i]
-    return C
+def _poly_inverse_mod(s, f):
+    """s^-1 mod f by the extended Euclidean algorithm; None when gcd(s, f) is not constant."""
+    r0, r1 = list(f), _poly_mod(s, f)
+    t0, t1 = [], [Fraction(1)]
+    # invariant: t_i * s = r_i mod f
+    while len(r1) > 1:
+        quot, rem = _poly_divmod(r0, r1)
+        r0, r1 = r1, rem
+        t0, t1 = t1, _poly_sub(t0, _poly_mul(quot, t1))
+    if not r1:
+        return None
+    return _poly_mod([c / r1[0] for c in t1], f)
 
 
 def power_sums_to_elementary(psums) -> list[Fraction]:
@@ -174,24 +169,19 @@ def elementary_to_power_sums(elem, k: int) -> list[Fraction]:
     return psums
 
 
-def _affine_multiplier_operator(model: MorphismModel, fixpoly):
-    """r(C) * s(C)^-1 for the multiplier function phi'(z) = r/s mod the fixed polynomial.
+def _affine_multiplier(model: MorphismModel, monic):
+    """q = r * s^-1 mod the monic fixed-point polynomial, for phi'(z) = r/s.
 
-    Returns None when s is not invertible mod the fixed-point polynomial (a
-    pole sits on a fixed point chart boundary; callers retry in a shifted
-    chart).
+    q takes the value of the multiplier at every affine fixed point.
     """
     p0 = [Fraction(c) for c in model.forms[0].dehomogenized()]
     p1 = [Fraction(c) for c in model.forms[1].dehomogenized()]
     r = _poly_sub(_poly_mul(_poly_deriv(p0), p1), _poly_mul(p0, _poly_deriv(p1)))
-    s = _poly_mul(p1, p1)
-    g = _poly_gcd(s, fixpoly)
-    if len(g) - 1 > 0:
-        return None
-    C = _companion(fixpoly)
-    S = _poly_eval_matrix(_poly_mod(s, fixpoly), C)
-    R = _poly_eval_matrix(_poly_mod(r, fixpoly), C)
-    return _matrix.mat_mul(R, _matrix.mat_inverse(S))
+    s_inv = _poly_inverse_mod(_poly_mul(p1, p1), monic)
+    if s_inv is None:
+        # a fixed point where p1 vanishes is a common root of p0 and p1
+        raise NotAMorphismError("resultant vanishes; not a morphism")
+    return _poly_mod(_poly_mul(r, s_inv), monic)
 
 
 def multiplier_power_sums(model: MorphismModel, k: int) -> list[Fraction]:
@@ -206,10 +196,6 @@ def multiplier_power_sums(model: MorphismModel, k: int) -> list[Fraction]:
         raise InvalidArgumentError("need k >= 0")
     if macaulay_resultant(model).value == 0:
         raise NotAMorphismError("resultant vanishes; not a morphism")
-    return _power_sums_checked(model, k, retries=8)
-
-
-def _power_sums_checked(model: MorphismModel, k: int, retries: int) -> list[Fraction]:
     d = model.d
     F = fixed_point_form(model)
     fixpoly = _poly_trim([Fraction(c) for c in F.dehomogenized()])
@@ -223,24 +209,22 @@ def _power_sums_checked(model: MorphismModel, k: int, retries: int) -> list[Frac
         lead0 = model.forms[0].coefficient((d, 0))
         lam_inf = Fraction(model.forms[1].coefficient((d - 1, 1))) / Fraction(lead0)
 
-    operator = None
+    q = None
     if m > 0:
         monic = [c / fixpoly[-1] for c in fixpoly]
-        operator = _affine_multiplier_operator(model, monic)
-        if operator is None:
-            if retries == 0:
-                raise DegenerateInputError("no chart separated fixed points from poles")
-            shift = LinearMap.from_rows([[1, 9 - retries], [0, 1]])
-            return _power_sums_checked(conjugate(model, shift), k, retries - 1)
+        q = _affine_multiplier(model, monic)
+        # power sums P_0..P_(m-1) of the roots of monic, the affine fixed points
+        elem = [(-1) ** i * monic[m - i] for i in range(1, m + 1)]
+        root_sums = [Fraction(m)] + elementary_to_power_sums(elem, m - 1)
 
     psums = []
-    power = operator
+    power = q
     for j in range(1, k + 1):
         total = inf_mult * lam_inf**j
-        if operator is not None:
-            total += _matrix.mat_trace(power)
+        if q is not None:
+            total += sum(c * root_sums[t] for t, c in enumerate(power))
             if j < k:
-                power = _matrix.mat_mul(power, operator)
+                power = _poly_mod(_poly_mul(power, q), monic)
         psums.append(total)
     return psums
 
@@ -266,15 +250,13 @@ def sigma_invariants_full(model: MorphismModel) -> tuple[Fraction, Fraction, Fra
 
 def moduli_height(model: MorphismModel) -> ModuliPoint:
     """Height of the class point: exact for (1, 2), coefficient proxy otherwise."""
-    if macaulay_resultant(model).value == 0:
-        raise NotAMorphismError("resultant vanishes; not a morphism")
     if (model.n, model.d) == (1, 2):
+        # multiplier_power_sums rejects a model whose resultant vanishes
         s1, s2 = sigma_invariants(model)
-        lcm = s1.denominator * s2.denominator // math.gcd(s1.denominator, s2.denominator)
-        x, y, z = int(s1 * lcm), int(s2 * lcm), lcm
-        g = math.gcd(math.gcd(abs(x), abs(y)), z)
-        x, y, z = x // g, y // g, z // g
+        z, x, y = primitive_integers((1, s1, s2))
         h = max(abs(x), abs(y), z)
         return ModuliPoint(SIGMA_INVARIANTS, (s1, s2), (x, y, z), h, math.log(h))
+    if macaulay_resultant(model).value == 0:
+        raise NotAMorphismError("resultant vanishes; not a morphism")
     h = max_abs_coefficient(model)
     return ModuliPoint(COEFFICIENT_PROXY, None, None, h, math.log(h))

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from . import _matrix
 from .errors import IndeterminatePointError, InvalidArgumentError, SchemaError
-from .exact_arithmetic import rational_from_string, rational_to_string, valuation
+from .exact_arithmetic import primitive_integers, rational_from_string, rational_to_string, valuation
 
 MultiIndex = tuple[int, ...]
 
@@ -144,8 +144,7 @@ class MorphismModel:
         )
 
     def canonical_key(self) -> tuple:
-        prim = normalize_primitive(self)
-        return (self.n, self.d) + tuple(int(c) for c in prim.all_coeffs())
+        return (self.n, self.d) + primitive_integers(self.all_coeffs())
 
     def projectively_equal(self, other: "MorphismModel") -> bool:
         return self.canonical_key() == other.canonical_key()
@@ -224,9 +223,6 @@ class LinearMap:
     def det(self) -> Fraction:
         return _matrix.det_exact([list(r) for r in self.matrix])
 
-    def adjugate_rows(self) -> list[list]:
-        return _matrix.mat_adjugate([list(r) for r in self.matrix])
-
     def inverse(self) -> "LinearMap":
         return LinearMap.from_rows(_matrix.mat_inverse([list(r) for r in self.matrix]))
 
@@ -243,17 +239,9 @@ class LinearMap:
 
 def normalize_primitive(model: MorphismModel) -> MorphismModel:
     """Canonical integral representative: coefficient gcd 1, first nonzero > 0."""
-    coeffs = [Fraction(c) for c in model.all_coeffs()]
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in coeffs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    first = next(v for v in ints if v != 0)
-    lam = Fraction(lcm, g if first > 0 else -g)
-    return model.scale(lam)
+    ints = primitive_integers(model.all_coeffs())
+    k = len(model.forms[0].coeffs)
+    return MorphismModel.from_coeff_lists(model.n, model.d, [ints[i : i + k] for i in range(0, len(ints), k)])
 
 
 def min_coeff_valuation(model: MorphismModel, p: int) -> int:
@@ -314,11 +302,13 @@ def substitute_linear(form: HomogeneousForm, rows) -> HomogeneousForm:
     return HomogeneousForm(form.n, form.d, tuple(coeffs))
 
 
-def conjugate_integer_rows(coeff_rows, n: int, d: int, fmat) -> list[list[int]]:
-    """Conjugation on raw integer coefficient rows by an integer matrix.
+def conjugate_integer_rows(coeff_rows, n: int, d: int, fmat) -> list[list]:
+    """The coefficient rows of adj(F) * Phi(F X) for an integer matrix F.
 
-    Same projective point as conjugate(); avoids Fraction overhead in search
-    loops.
+    The one conjugation kernel, behind conjugate() too.  Phi is given by raw
+    coefficient rows of ints or Fractions; integer rows stay in Z, which keeps
+    Fraction overhead out of search loops.  The result is the conjugate
+    F^(-1) o Phi o F up to the scalar det(F), the same point of P^N.
     """
     forms = [HomogeneousForm(n, d, tuple(rc)) for rc in coeff_rows]
     subbed = [substitute_linear(f, fmat) for f in forms]
@@ -337,38 +327,20 @@ def conjugate_integer_rows(coeff_rows, n: int, d: int, fmat) -> list[list[int]]:
     return out
 
 
-def canonical_integer_rows(coeff_rows) -> tuple[int, ...]:
-    """Flatten rows to the primitive, sign-normalized integer tuple."""
-    flat = [int(c) for row in coeff_rows for c in row]
-    g = 0
-    for v in flat:
-        g = math.gcd(g, v)
-    first = next(v for v in flat if v)
-    if first < 0:
-        g = -g
-    return tuple(v // g for v in flat)
-
-
 def conjugate(model: MorphismModel, f: LinearMap) -> MorphismModel:
-    """The conjugate f^(-1) o model o f, computed with adj(f) to stay polynomial."""
+    """The conjugate f^(-1) o model o f as the polynomial map adj(F) * model(F X).
+
+    F is the integer matrix lcm * f, lcm the common denominator of f's
+    entries: a scalar multiple is the same element of PGL.  The work is done
+    by conjugate_integer_rows, so for an integer f the coefficients are
+    exactly those of adj(f) * model(f X).
+    """
     if f.n != model.n:
         raise InvalidArgumentError("dimension mismatch between morphism and linear map")
-    rows = [list(r) for r in f.matrix]
-    substituted = [substitute_linear(form, rows) for form in model.forms]
-    adj = f.adjugate_rows()
-    nvars = model.n + 1
-    out_forms = []
-    for i in range(nvars):
-        coeffs = [Fraction(0)] * len(substituted[0].coeffs)
-        for j in range(nvars):
-            a = adj[i][j]
-            if a == 0:
-                continue
-            for t, c in enumerate(substituted[j].coeffs):
-                if c != 0:
-                    coeffs[t] += a * c
-        out_forms.append(HomogeneousForm(model.n, model.d, tuple(coeffs)))
-    return MorphismModel(model.n, model.d, tuple(out_forms))
+    lcm = math.lcm(*[x.denominator for row in f.matrix for x in row])
+    fmat = [[x.numerator * (lcm // x.denominator) for x in row] for row in f.matrix]
+    rows = conjugate_integer_rows([form.coeffs for form in model.forms], model.n, model.d, fmat)
+    return MorphismModel.from_coeff_lists(model.n, model.d, rows)
 
 
 def evaluate(model: MorphismModel, point) -> tuple:
@@ -386,8 +358,7 @@ def evaluate(model: MorphismModel, point) -> tuple:
 
 def max_abs_coefficient(model: MorphismModel) -> int:
     """Largest |coefficient| of the primitive model (multiplicative height)."""
-    prim = normalize_primitive(model)
-    return max(abs(int(c)) for c in prim.all_coeffs())
+    return max(abs(v) for v in primitive_integers(model.all_coeffs()))
 
 
 def coefficient_height(model: MorphismModel) -> float:

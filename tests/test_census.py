@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -10,11 +11,13 @@ from dynres import (
     CensusConfig,
     InvalidArgumentError,
     SearchBudget,
+    conjugacy_twists,
     enumerate_models,
     load_records,
     macaulay_resultant,
     run_census,
     stream_records,
+    summarize_records,
 )
 from dynres.census import CensusRecord, b_grid, compute_record, record_key
 
@@ -201,3 +204,31 @@ def test_census_rerun_is_stable(tmp_path):
     first = run_census(config)
     second = run_census(config)
     assert first.to_json() == second.to_json()
+
+
+# sha256 of the sorted-key JSON of summarize_records on the H=1 records,
+# recorded while bucket_twists still recomputed every sigma
+H1_SUMMARY_SHA256 = "43d7144fe67cb41a9419f790d9d49b17e9825b35d43cd918cd88a909807172e2"
+
+
+def test_summarize_reads_stored_sigma(tmp_path, monkeypatch):
+    config = _config(tmp_path, "stored")
+    stream_records(config)
+    records = load_records(config.records_path)
+
+    def recompute(model):
+        raise AssertionError("summarize_records recomputed a sigma its records store")
+
+    monkeypatch.setattr(conjugacy_twists, "sigma_invariants", recompute)
+    summary = summarize_records(records, config.B, config.budget, config.settings())
+    rows = {e["B"]: e for e in summary.per_b}
+    assert [rows[b]["gamma_definite"] for b in (1, 2, 4, 8)] == [0, 18, 50, 106]
+    assert [[rows[b]["class_count_lower"], rows[b]["class_count_upper"]] for b in (1, 2, 4, 8)] == [
+        [0, 0],
+        [3, 3],
+        [8, 9],
+        [20, 21],
+    ]
+    assert len(summary.classes) == 21
+    blob = json.dumps(summary.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == H1_SUMMARY_SHA256

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import random_model
 from dynres import (
     INFINITY,
     FactoredIdeal,
@@ -10,12 +11,13 @@ from dynres import (
     factor_integer,
     ideal_norm,
     is_prime,
+    normalize_primitive,
     primes_up_to,
     rational_from_string,
     rational_to_string,
     valuation,
 )
-from dynres.exact_arithmetic import is_perfect_square
+from dynres.exact_arithmetic import is_perfect_square, primitive_integers
 
 
 def test_valuation_examples():
@@ -130,3 +132,27 @@ def test_rational_strings():
     assert rational_from_string("-2") == -2
     with pytest.raises(InvalidArgumentError):
         rational_from_string("x+1")
+
+
+def test_primitive_integers_examples():
+    # Fraction input: denominators cleared, then the gcd divided out
+    assert primitive_integers((Fraction(1, 2), 0, Fraction(3, 4))) == (2, 0, 3)
+    assert primitive_integers((Fraction(2, 3), Fraction(4, 3))) == (1, 2)
+    # a negative first nonzero entry flips the sign of every entry
+    assert primitive_integers((0, -4, 6, -2)) == (0, 2, -3, 1)
+    # an already primitive vector is returned unchanged, as ints
+    assert primitive_integers((3, -5, 0, 7)) == (3, -5, 0, 7)
+    assert primitive_integers([Fraction(1), Fraction(-1)]) == (1, -1)
+    assert all(type(v) is int for v in primitive_integers((Fraction(6), Fraction(-9, 2))))
+    with pytest.raises(InvalidArgumentError):
+        primitive_integers((0, Fraction(0), 0))
+
+
+def test_primitive_integers_matches_normalize_primitive(rng):
+    for _ in range(50):
+        m = random_model(rng, rng.choice([1, 2]), rng.choice([1, 2]))
+        lam = Fraction(rng.choice([1, -2, 3, -5]), rng.choice([1, 2, 7]))
+        scaled = m.scale(lam)
+        prim = normalize_primitive(scaled)
+        assert primitive_integers(scaled.all_coeffs()) == tuple(int(c) for c in prim.all_coeffs())
+        assert primitive_integers(scaled.all_coeffs()) == primitive_integers(m.all_coeffs())

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from conftest import bq, random_morphism, twist, z_squared
+from conftest import binary, bq, random_morphism, twist, z_squared
 from dynres import (
     DegenerateInputError,
     InvalidArgumentError,
@@ -12,13 +12,24 @@ from dynres import (
     MorphismModel,
     NotAMorphismError,
     conjugate,
+    enumerate_models,
     fixed_point_form,
+    macaulay_resultant,
     moduli_height,
     multiplier_power_sums,
     sigma_invariants,
     sigma_invariants_full,
 )
-from dynres.moduli_invariants import elementary_to_power_sums, power_sums_to_elementary
+from dynres._matrix import identity, mat_inverse, mat_mul
+from dynres.moduli_invariants import (
+    _affine_multiplier,
+    _poly_deriv,
+    _poly_mul,
+    _poly_sub,
+    _poly_trim,
+    elementary_to_power_sums,
+    power_sums_to_elementary,
+)
 
 
 def test_fixed_point_form_examples():
@@ -174,3 +185,128 @@ def test_sigma_rational_denominators(rng):
     x, y, z = mp.point
     assert Fraction(x, z) == s1 and Fraction(y, z) == s2
     assert math.gcd(math.gcd(abs(x), abs(y)), z) == 1
+
+
+# --- the retired companion-matrix route, kept as an oracle --------------------
+# p_j was the trace of M^j for M = r(C) * s(C)^-1, C the companion matrix of
+# the monic affine fixed-point polynomial; when gcd(s, f) was not constant it
+# retried in the chart shifted by z -> z + t.
+
+
+def _oracle_poly_mod(a, m):
+    a = [Fraction(c) for c in a]
+    dm = len(m) - 1
+    while len(a) - 1 >= dm and a:
+        shift = len(a) - 1 - dm
+        q = a[-1] / m[-1]
+        for i in range(dm + 1):
+            a[shift + i] -= q * m[i]
+        _poly_trim(a)
+    return a
+
+
+def _oracle_poly_gcd(a, b):
+    a, b = [Fraction(c) for c in a], [Fraction(c) for c in b]
+    while b:
+        a, b = b, _oracle_poly_mod(a, b)
+    return a
+
+
+def _oracle_eval_matrix(p, C):
+    n = len(C)
+    acc = [[Fraction(0)] * n for _ in range(n)]
+    power = identity(n)
+    for c in p:
+        acc = [[acc[r][s] + c * power[r][s] for s in range(n)] for r in range(n)]
+        power = mat_mul(power, C)
+    return acc
+
+
+def _oracle_companion(monic):
+    m = len(monic) - 1
+    C = [[Fraction(0)] * m for _ in range(m)]
+    for i in range(1, m):
+        C[i][i - 1] = Fraction(1)
+    for i in range(m):
+        C[i][m - 1] = -monic[i]
+    return C
+
+
+def companion_power_sums(model, k, retries=8, shifts=None):
+    """The multiplier power sums p_1..p_k by the retired matrix route."""
+    d = model.d
+    fixpoly = _poly_trim([Fraction(c) for c in fixed_point_form(model).dehomogenized()])
+    m = len(fixpoly) - 1
+    inf_mult = (d + 1) - m
+    lam_inf = Fraction(0)
+    if inf_mult > 0:
+        lam_inf = Fraction(model.forms[1].coefficient((d - 1, 1))) / Fraction(model.forms[0].coefficient((d, 0)))
+    operator = None
+    if m > 0:
+        monic = [c / fixpoly[-1] for c in fixpoly]
+        p0 = [Fraction(c) for c in model.forms[0].dehomogenized()]
+        p1 = [Fraction(c) for c in model.forms[1].dehomogenized()]
+        r = _poly_sub(_poly_mul(_poly_deriv(p0), p1), _poly_mul(p0, _poly_deriv(p1)))
+        s = _poly_mul(p1, p1)
+        if len(_oracle_poly_gcd(s, monic)) > 1:
+            if retries == 0:
+                raise DegenerateInputError("no chart separated fixed points from poles")
+            if shifts is not None:
+                shifts.append(9 - retries)
+            shifted = conjugate(model, LinearMap.from_rows([[1, 9 - retries], [0, 1]]))
+            return companion_power_sums(shifted, k, retries - 1, shifts)
+        C = _oracle_companion(monic)
+        S = _oracle_eval_matrix(_oracle_poly_mod(s, monic), C)
+        R = _oracle_eval_matrix(_oracle_poly_mod(r, monic), C)
+        operator = mat_mul(R, mat_inverse(S))
+    psums = []
+    power = operator
+    for j in range(1, k + 1):
+        total = inf_mult * lam_inf**j
+        if operator is not None:
+            total += sum(power[i][i] for i in range(len(power)))
+            power = mat_mul(power, operator)
+        psums.append(total)
+    return psums
+
+
+def test_power_sums_match_companion_matrix_oracle(rng):
+    models = []
+    for d in (2, 3, 4):
+        models += [random_morphism(rng, 1, d, bound=4) for _ in range(6)]
+        # [1:0] is fixed when the second form has no X^d term
+        while True:
+            rows = [[rng.randint(-3, 3) for _ in range(d + 1)] for _ in range(2)]
+            rows[1][0] = 0
+            m = binary(d, *rows)
+            if macaulay_resultant(m).value != 0:
+                models.append(m)
+                break
+    models += [twist(2), twist(Fraction(1, 3)), bq(Fraction(1, 2), 3, 0, 0, 0, 1)]
+    models += list(enumerate_models(1, 2, 1))
+    at_infinity = 0
+    for m in models:
+        fixpoly = _poly_trim([Fraction(c) for c in fixed_point_form(m).dehomogenized()])
+        at_infinity += len(fixpoly) < m.d + 2
+        shifts = []
+        assert multiplier_power_sums(m, m.d + 1) == companion_power_sums(m, m.d + 1, shifts=shifts)
+        # gcd(p1^2, f) = gcd(p1^2, p0) for f = p0 - z p1: no morphism needs a shifted chart
+        assert shifts == []
+    assert at_infinity >= 6
+
+
+def test_shared_fixed_root_is_not_a_morphism():
+    # p0 = z(z - 1) and p1 = (z - 1)(z + 2) share the fixed point z = 1
+    m = bq(1, -1, 0, 1, 1, -2)
+    assert macaulay_resultant(m).value == 0
+    with pytest.raises(NotAMorphismError):
+        multiplier_power_sums(m, 3)
+    monic = [Fraction(0), Fraction(-1), Fraction(0), Fraction(1)]  # -(fixed-point polynomial)
+    assert _poly_trim([-c for c in fixed_point_form(m).dehomogenized()]) == monic
+    with pytest.raises(NotAMorphismError):
+        _affine_multiplier(m, monic)
+    # the retired route's chart shifts could never help: conjugation keeps the common root
+    shifts = []
+    with pytest.raises(DegenerateInputError):
+        companion_power_sums(m, 3, shifts=shifts)
+    assert shifts == list(range(1, 9))

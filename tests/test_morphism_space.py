@@ -175,3 +175,19 @@ def test_json_schema_violations():
     sparse = {"n": 1, "d": 2, "forms": [[["2,0", "1"], ["0,2", "2"]], [["1,1", "1"]]]}
     assert MorphismModel.from_json(sparse).projectively_equal(twist(2))
     assert MorphismModel.from_json(good) == MorphismModel.from_json(good)
+
+
+def test_conjugate_pinned_integer_matrix():
+    # exact outputs of the adjugate route, recorded before conjugate() moved
+    # onto conjugate_integer_rows: for an integer matrix nothing is rescaled
+    m = MorphismModel.from_coeff_lists(1, 2, [[1, 2, -3], [0, 4, Fraction(5, 2)]])
+    c = conjugate(m, LinearMap.from_rows([[2, 1], [-1, 3]]))
+    assert c == MorphismModel.from_coeff_lists(
+        1, 2, [[Fraction(-7, 2), 91, Fraction(-189, 2)], [-14, 42, 49]]
+    )
+    assert all(type(x) is Fraction for x in c.all_coeffs())
+    m2 = MorphismModel.from_coeff_lists(2, 2, [[1, 0, 2, 0, -1, 0], [0, 1, 0, 3, 0, 0], [1, 0, 0, 0, 0, 1]])
+    c2 = conjugate(m2, LinearMap.from_rows([[1, 1, 0], [0, 2, 1], [1, 0, 1]]))
+    assert c2 == MorphismModel.from_coeff_lists(
+        2, 2, [[8, 4, 3, -11, -13, -4], [1, 2, 0, 14, 13, 1], [-2, 2, 3, 14, 13, 7]]
+    )
