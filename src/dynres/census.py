@@ -115,9 +115,7 @@ class CensusRecord:
             "key": self.key,
             "model": self.model.to_json(),
             "res": rational_to_string(self.res),
-            "local": [
-                {"p": str(e.p), "e": e.e_model, "eps": e.eps_estimate, "certified": e.certified} for e in self.local
-            ],
+            "local": [e.to_json() for e in self.local],
             "minimal_resultant": self.minimal_resultant.to_json(),
             "norm": str(self.norm),
             "norm_is_upper_bound": not self.fully_certified,
@@ -139,9 +137,7 @@ class CensusRecord:
             key=data["key"],
             model=MorphismModel.from_json(data["model"]),
             res=rational_from_string(data["res"]),
-            local=tuple(
-                LocalExponent(int(e["p"]), e["e"], e["eps"], e["certified"]) for e in data["local"]
-            ),
+            local=tuple(LocalExponent.from_json(e) for e in data["local"]),
             minimal_resultant=FactoredIdeal.from_json(data["minimal_resultant"]),
             norm=int(data["norm"]),
             norm_lower_bound=int(data["norm_lower_bound"]),

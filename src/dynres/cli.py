@@ -106,10 +106,7 @@ def _cmd_reduce(args) -> int:
     _emit(
         {
             "res": rational_to_string(report.res),
-            "local": [
-                {"p": str(e.p), "e": e.e_model, "eps": e.eps_estimate, "certified": e.certified}
-                for e in report.local
-            ],
+            "local": [e.to_json() for e in report.local],
             "minimal_resultant": report.minimal_resultant.to_json(),
             "norm": str(report.norm),
             "fully_certified": report.fully_certified,

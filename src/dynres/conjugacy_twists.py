@@ -14,12 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InvalidArgumentError, NotAMorphismError
+from .errors import InvalidArgumentError
 from .exact_arithmetic import is_perfect_square, primitive_integers
 from .moduli_invariants import sigma_invariants
 from .morphism_space import LinearMap, MorphismModel, conjugate, conjugate_integer_rows
 from .reduction_theory import SearchBudget
-from .resultants import macaulay_resultant
+from .resultants import nonzero_resultant
 
 CONJUGATE = "conjugate"
 NOT_CONJUGATE = "not_conjugate"
@@ -94,8 +94,7 @@ def conjugacy_test(phi: MorphismModel, psi: MorphismModel, budget: SearchBudget)
     for m in (phi, psi):
         if (m.n, m.d) != (1, 2):
             raise InvalidArgumentError("conjugacy testing is implemented for n = 1, d = 2")
-        if macaulay_resultant(m).value == 0:
-            raise NotAMorphismError("resultant vanishes; not a morphism")
+        nonzero_resultant(m)
     if sigma_invariants(phi) != sigma_invariants(psi):
         return ConjugacyVerdict(NOT_CONJUGATE, separating_invariant="sigma_invariants")
     if phi.projectively_equal(psi):

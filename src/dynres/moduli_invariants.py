@@ -26,7 +26,7 @@ from fractions import Fraction
 from .errors import DegenerateInputError, InvalidArgumentError, NotAMorphismError
 from .exact_arithmetic import primitive_integers
 from .morphism_space import HomogeneousForm, MorphismModel, max_abs_coefficient
-from .resultants import macaulay_resultant
+from .resultants import nonzero_resultant
 
 SIGMA_INVARIANTS = "sigma_invariants"
 COEFFICIENT_PROXY = "coefficient_proxy"
@@ -194,8 +194,7 @@ def multiplier_power_sums(model: MorphismModel, k: int) -> list[Fraction]:
         raise InvalidArgumentError("multiplier spectrum needs n = 1 and d >= 2")
     if k < 0:
         raise InvalidArgumentError("need k >= 0")
-    if macaulay_resultant(model).value == 0:
-        raise NotAMorphismError("resultant vanishes; not a morphism")
+    nonzero_resultant(model)
     d = model.d
     F = fixed_point_form(model)
     fixpoly = _poly_trim([Fraction(c) for c in F.dehomogenized()])
@@ -256,7 +255,6 @@ def moduli_height(model: MorphismModel) -> ModuliPoint:
         z, x, y = primitive_integers((1, s1, s2))
         h = max(abs(x), abs(y), z)
         return ModuliPoint(SIGMA_INVARIANTS, (s1, s2), (x, y, z), h, math.log(h))
-    if macaulay_resultant(model).value == 0:
-        raise NotAMorphismError("resultant vanishes; not a morphism")
+    nonzero_resultant(model)
     h = max_abs_coefficient(model)
     return ModuliPoint(COEFFICIENT_PROXY, None, None, h, math.log(h))

@@ -163,11 +163,11 @@ class MorphismModel:
     def from_json(cls, data) -> "MorphismModel":
         if not isinstance(data, dict):
             raise SchemaError("morphism payload must be an object")
-        try:
-            n, d = int(data["n"]), int(data["d"])
-            raw_forms = data["forms"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError("morphism payload needs integer 'n', 'd' and a 'forms' array") from exc
+        n, d = data.get("n"), data.get("d")
+        # a JSON integer only: int() would truncate 1.9 and accept true
+        if type(n) is not int or type(d) is not int or "forms" not in data:
+            raise SchemaError("morphism payload needs integer 'n', 'd' and a 'forms' array")
+        raw_forms = data["forms"]
         if not isinstance(raw_forms, list) or len(raw_forms) != n + 1:
             raise SchemaError(f"'forms' must list exactly {n + 1} forms")
         forms = []

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _matrix
-from .errors import InvalidArgumentError, NotAMorphismError
+from .errors import InvalidArgumentError
 from .exact_arithmetic import FactoredIdeal, _ord_int, factor_integer, primes_up_to, valuation
 from .morphism_space import (
     MorphismModel,
@@ -40,7 +40,7 @@ from .morphism_space import (
     min_coeff_valuation,
     normalize_primitive,
 )
-from .resultants import macaulay_resultant
+from .resultants import nonzero_resultant
 
 GOOD = "good"
 GOOD_CERTIFIED = "good_certified"
@@ -87,6 +87,13 @@ class LocalExponent:
         if self.certified and self.eps_estimate != 0:
             raise InvalidArgumentError("only a zero minimum is certified")
 
+    def to_json(self) -> dict:
+        return {"p": str(self.p), "e": self.e_model, "eps": self.eps_estimate, "certified": self.certified}
+
+    @classmethod
+    def from_json(cls, data: dict) -> "LocalExponent":
+        return cls(int(data["p"]), data["e"], data["eps"], data["certified"])
+
 
 @dataclass(frozen=True, slots=True)
 class ReductionReport:
@@ -111,10 +118,7 @@ class ReductionReport:
 
 def local_exponent(model: MorphismModel, p: int) -> int:
     """ord_p(Res) - (n+1) d^n min_val; model-independent, >= 0 on primitive models."""
-    res = macaulay_resultant(model).value
-    if res == 0:
-        raise NotAMorphismError("resultant vanishes; not a morphism")
-    return valuation(res, p) - (model.n + 1) * model.d**model.n * min_coeff_valuation(model, p)
+    return valuation(nonzero_resultant(model), p) - (model.n + 1) * model.d**model.n * min_coeff_valuation(model, p)
 
 
 def exponent_step(n: int, d: int) -> int:
@@ -203,18 +207,13 @@ def minimize_exponent(model: MorphismModel, p: int, budget: SearchBudget) -> Loc
     upper bound for the class minimum.
     """
     prim = normalize_primitive(model)
-    res = macaulay_resultant(prim).value
-    if res == 0:
-        raise NotAMorphismError("resultant vanishes; not a morphism")
-    return _minimize(prim, p, valuation(res, p), budget)
+    return _minimize(prim, p, valuation(nonzero_resultant(prim), p), budget)
 
 
 def reduction_report(model: MorphismModel, budget: SearchBudget) -> ReductionReport:
     """Factor Res of the primitive model and minimize every positive exponent."""
     prim = normalize_primitive(model)
-    res = macaulay_resultant(prim).value
-    if res == 0:
-        raise NotAMorphismError("resultant vanishes; not a morphism")
+    res = nonzero_resultant(prim)
     factors = factor_integer(abs(int(res)))
     local = []
     estimate: dict[int, int] = {}

@@ -1,18 +1,25 @@
-"""Exact Macaulay resultants with a Sylvester specialization for n = 1.
+"""Exact resultants of n+1 degree-d forms in n+1 variables, by one formula.
 
-For n >= 2 the resultant is det(M)/det(M') on the classical Macaulay matrix
-at critical degree D = (n+1)(d-1)+1.  When det(M') vanishes we fall back to
-perturbing by t * X_i^d and interpolating the resultant as a polynomial in t
-(the perturbing system's Macaulay matrix is the identity, so M(t) = M + tI).
+M is the Macaulay matrix at critical degree D = (n+1)(d-1)+1 and M' its
+reduced minor.  Perturbing phi_i by t X_i^d adds t to their diagonals, so
+R(t) = det(M + tI) / det(M' + tI) is the resultant of (phi_i + t X_i^d)
+(Macaulay; the perturbation is Canny's, J. Symb. Comput. 1990).  R has exact
+degree delta = (n+1) d^n in t: Res has degree d^n in each form's
+coefficients, and R's leading coefficient is Res(X_0^d, ..., X_n^d) = 1.
+Res is R(0): the quotient at t = 0 when det(M') != 0, else interpolated from
+delta + 1 nodes t = 1, 2, ...  For n = 1, M is the Sylvester matrix and M' is
+empty.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import _matrix
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NotAMorphismError
 from .morphism_space import HomogeneousForm, MorphismModel, monomial_index, monomials
 
 SYLVESTER = "sylvester"
@@ -29,22 +36,50 @@ class ResultantValue:
         return self.value == 0
 
 
+@lru_cache(maxsize=None)
+def _placement(n: int, d: int) -> tuple[tuple, tuple[int, ...]]:
+    """Where the degree-D Macaulay rows take their entries, and the rows of M'.
+
+    Rows and columns are both indexed by the degree-D monomials.  Column X^I is
+    assigned to the least i with I_i >= d and its row holds X^(I - d e_i) * phi_i,
+    recorded as (i, the column of each monomial of phi_i).  M' lives on the
+    monomials divisible by X_i^d for at least two i.
+    """
+    D = (n + 1) * (d - 1) + 1
+    col_index = monomial_index(n, D)
+    rows = []
+    minor = []
+    for r, I in enumerate(monomials(n, D)):
+        heavy = [i for i, e in enumerate(I) if e >= d]
+        # degree D forces at least one exponent >= d
+        i = heavy[0]
+        if len(heavy) >= 2:
+            minor.append(r)
+        shift = tuple(e - d if k == i else e for k, e in enumerate(I))
+        rows.append((i, tuple(col_index[tuple(a + b for a, b in zip(J, shift))] for J in monomials(n, d))))
+    return tuple(rows), tuple(minor)
+
+
+def _fill(n: int, d: int, coeffs, zero) -> list[list]:
+    """The Macaulay matrix with coeffs[i] as the coefficients of phi_i, placed as given."""
+    placement, _ = _placement(n, d)
+    size = len(placement)
+    rows = []
+    for i, targets in placement:
+        row = [zero] * size
+        for col, c in zip(targets, coeffs[i]):
+            row[col] = c
+        rows.append(row)
+    return rows
+
+
 def sylvester_matrix(f: HomogeneousForm, g: HomogeneousForm) -> list[list[Fraction]]:
     """2d x 2d Sylvester matrix: d shifted rows of f, then d shifted rows of g."""
     if f.n != 1 or g.n != 1:
         raise InvalidArgumentError("Sylvester resultant is for binary forms")
     if f.d != g.d or f.d < 1:
         raise InvalidArgumentError("binary forms must have equal degree >= 1")
-    d = f.d
-    size = 2 * d
-    rows = []
-    for coeffs in (f.coeffs, g.coeffs):
-        for shift in range(d):
-            row = [Fraction(0)] * size
-            for j, c in enumerate(coeffs):
-                row[shift + j] = Fraction(c)
-            rows.append(row)
-    return rows
+    return _fill(1, f.d, [[Fraction(c) for c in h.coeffs] for h in (f, g)], Fraction(0))
 
 
 def sylvester_resultant(f: HomogeneousForm, g: HomogeneousForm, backend: str = "bareiss") -> Fraction:
@@ -58,12 +93,7 @@ def exact_determinant(matrix, backend: str = "bareiss") -> Fraction:
 
 @dataclass(frozen=True, slots=True)
 class MacaulayMatrix:
-    """The degree-D Macaulay matrix of a model, plus the reduced-minor index set.
-
-    Rows and columns are both indexed by the degree-D monomials; column X^I is
-    assigned to the least i with I_i >= d and its row holds X^(I - d e_i) * phi_i.
-    The minor M' lives on the monomials divisible by X_i^d for at least two i.
-    """
+    """The degree-D Macaulay matrix M of a model, plus the index set of its minor M'."""
 
     n: int
     d: int
@@ -84,73 +114,38 @@ class MacaulayMatrix:
 
 def macaulay_matrix(model: MorphismModel) -> MacaulayMatrix:
     n, d = model.n, model.d
-    D = (n + 1) * (d - 1) + 1
-    cols = monomials(n, D)
-    col_index = monomial_index(n, D)
-    form_monomials = monomials(n, d)
-    size = len(cols)
-    entries = [[Fraction(0)] * size for _ in range(size)]
-    minor_idx = []
-    for r, I in enumerate(cols):
-        heavy = [i for i, e in enumerate(I) if e >= d]
-        # degree D forces at least one exponent >= d
-        i = heavy[0]
-        if len(heavy) >= 2:
-            minor_idx.append(r)
-        shift = tuple(e - d if k == i else e for k, e in enumerate(I))
-        for J, c in zip(form_monomials, model.forms[i].coeffs):
-            if c == 0:
-                continue
-            target = tuple(a + b for a, b in zip(J, shift))
-            entries[r][col_index[target]] += Fraction(c)
-    return MacaulayMatrix(n, d, D, tuple(tuple(r) for r in entries), tuple(minor_idx))
-
-
-def _macaulay_quotient(model: MorphismModel, backend: str) -> Fraction | None:
-    """det(M)/det(M'), or None when the minor determinant vanishes."""
-    mac = macaulay_matrix(model)
-    det_minor = _matrix.det_exact(mac.minor_rows(), backend)
-    if det_minor == 0:
-        return None
-    det_full = _matrix.det_exact(mac.rows(), backend)
-    return det_full / det_minor
-
-
-def _perturbation_resultant(model: MorphismModel, backend: str) -> Fraction:
-    """Resultant of (phi_i + t X_i^d) interpolated in t, evaluated at t = 0."""
-    mac = macaulay_matrix(model)
-    size = mac.size()
-    minor_rows = mac.minor_rows()
-    full_rows = mac.rows()
-    needed = size + 1
-    nodes: list[tuple[int, Fraction]] = []
-    t = 1
-    while len(nodes) < needed:
-        shifted_minor = [
-            [minor_rows[i][j] + (t if i == j else 0) for j in range(len(minor_rows))] for i in range(len(minor_rows))
-        ]
-        dm = _matrix.det_exact(shifted_minor, backend)
-        if dm != 0:
-            shifted_full = [[full_rows[i][j] + (t if i == j else 0) for j in range(size)] for i in range(size)]
-            df = _matrix.det_exact(shifted_full, backend)
-            nodes.append((t, df / dm))
-        t += 1
-    # Lagrange evaluation of the interpolant at t = 0
-    total = Fraction(0)
-    for j, (tj, yj) in enumerate(nodes):
-        weight = Fraction(1)
-        for k, (tk, _) in enumerate(nodes):
-            if k != j:
-                weight *= Fraction(tk, tk - tj)
-        total += yj * weight
-    return total
+    rows = _fill(n, d, [[Fraction(c) for c in f.coeffs] for f in model.forms], Fraction(0))
+    return MacaulayMatrix(n, d, (n + 1) * (d - 1) + 1, tuple(map(tuple, rows)), _placement(n, d)[1])
 
 
 def macaulay_resultant(model: MorphismModel, backend: str = "bareiss") -> ResultantValue:
-    """Res of the model; nonzero exactly when the forms have no common zero."""
-    if model.n == 1:
-        return ResultantValue(sylvester_resultant(model.forms[0], model.forms[1], backend), SYLVESTER)
-    quotient = _macaulay_quotient(model, backend)
-    if quotient is not None:
-        return ResultantValue(quotient, MACAULAY_QUOTIENT)
-    return ResultantValue(_perturbation_resultant(model, backend), PERTURBATION)
+    """Res of the model, R(0); nonzero exactly when the forms have no common zero."""
+    n, d = model.n, model.d
+    full = _fill(n, d, [f.coeffs for f in model.forms], 0)
+    minor = _placement(n, d)[1]
+    nodes: list[tuple[int, Fraction]] = []
+    t = 0
+    while len(nodes) <= (n + 1) * d**n:
+        # full is M + tI here, and M' + tI is its principal minor on the rows of M'
+        det_sub = _matrix.det_exact([[full[i][j] for j in minor] for i in minor], backend) if minor else 1
+        if det_sub != 0:
+            value = _matrix.det_exact(full, backend) / det_sub
+            if t == 0:
+                return ResultantValue(value, SYLVESTER if n == 1 else MACAULAY_QUOTIENT)
+            nodes.append((t, value))
+        t += 1
+        for r, row in enumerate(full):
+            row[r] += 1
+    # Lagrange evaluation at t = 0 of R through the delta + 1 nodes
+    total = Fraction(0)
+    for tj, yj in nodes:
+        total += yj * math.prod(Fraction(tk, tk - tj) for tk, _ in nodes if tk != tj)
+    return ResultantValue(total, PERTURBATION)
+
+
+def nonzero_resultant(model: MorphismModel) -> Fraction:
+    """Res of a morphism; raises NotAMorphismError when it vanishes."""
+    res = macaulay_resultant(model).value
+    if res == 0:
+        raise NotAMorphismError("resultant vanishes; not a morphism")
+    return res

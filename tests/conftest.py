@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from dynres import MorphismModel, macaulay_resultant
+from dynres import MorphismModel, exact_determinant, macaulay_matrix, macaulay_resultant
 from dynres.morphism_space import monomials
 
 
@@ -52,6 +52,46 @@ def proj_eq(a, b) -> bool:
             if a[i] * b[j] != a[j] * b[i]:
                 return False
     return True
+
+
+def _macaulay_quotient(model: MorphismModel, backend: str) -> Fraction | None:
+    """Retired quotient route, kept as an oracle: det(M)/det(M'), or None when det(M') vanishes."""
+    mac = macaulay_matrix(model)
+    det_minor = exact_determinant(mac.minor_rows(), backend)
+    if det_minor == 0:
+        return None
+    return exact_determinant(mac.rows(), backend) / det_minor
+
+
+def _perturbation_resultant(model: MorphismModel, backend: str) -> Fraction:
+    """Retired perturbation route, kept as an oracle: Res of (phi_i + t X_i^d) interpolated
+    in t from size + 1 nodes, evaluated at t = 0."""
+    mac = macaulay_matrix(model)
+    size = mac.size()
+    minor_rows = mac.minor_rows()
+    full_rows = mac.rows()
+    needed = size + 1
+    nodes: list[tuple[int, Fraction]] = []
+    t = 1
+    while len(nodes) < needed:
+        shifted_minor = [
+            [minor_rows[i][j] + (t if i == j else 0) for j in range(len(minor_rows))] for i in range(len(minor_rows))
+        ]
+        dm = exact_determinant(shifted_minor, backend)
+        if dm != 0:
+            shifted_full = [[full_rows[i][j] + (t if i == j else 0) for j in range(size)] for i in range(size)]
+            df = exact_determinant(shifted_full, backend)
+            nodes.append((t, df / dm))
+        t += 1
+    # Lagrange evaluation of the interpolant at t = 0
+    total = Fraction(0)
+    for j, (tj, yj) in enumerate(nodes):
+        weight = Fraction(1)
+        for k, (tk, _) in enumerate(nodes):
+            if k != j:
+                weight *= Fraction(tk, tk - tj)
+        total += yj * weight
+    return total
 
 
 @pytest.fixture

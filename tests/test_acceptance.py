@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import binary, bq, random_model, random_morphism, twist, z_squared
+from conftest import _macaulay_quotient, binary, bq, random_model, random_morphism, twist, z_squared
 from dynres import (
     CensusConfig,
     FactoredIdeal,
@@ -38,7 +38,6 @@ from dynres import (
 )
 from dynres.census import run_census
 from dynres.conjugacy_twists import _search_witness
-from dynres.resultants import _macaulay_quotient
 
 CENSUS_BUDGET = SearchBudget(a_max=4, translation_depth=2, matrix_bound=2)
 

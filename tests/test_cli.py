@@ -115,6 +115,16 @@ def test_schema_violation(tmp_path, capsys):
     assert json.loads(out)["error"] == "schema-violation"
 
 
+def test_non_integer_shape_is_schema_violation(tmp_path, capsys):
+    # int() would truncate these to (1, 2) and compute the resultant of z + 8/z
+    payload = dict(twist(8).to_json(), n=1.9, d=2.4)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code, out = _run(capsys, ["resultant", str(bad)])
+    assert code == 2
+    assert json.loads(out)["error"] == "schema-violation"
+
+
 def test_degenerate_input_reported(tmp_path, capsys):
     path = _write_model(tmp_path, "d.json", bq(0, 1, 0, 0, 0, 1))
     code, out = _run(capsys, ["invariants", path])

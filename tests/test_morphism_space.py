@@ -168,6 +168,12 @@ def test_json_schema_violations():
         {"n": 1, "d": 2, "forms": [[["2,0", "x"]], [["2,0", "1"]]]},
         {"n": 1, "d": 2, "forms": [[["2,0", "1"], ["2,0", "2"]], [["0,2", "1"]]]},
         "not an object",
+        {**good, "n": 1.9, "d": 2.4},
+        {**good, "n": 1.0},
+        {**good, "d": True},
+        {**good, "n": True},
+        {**good, "n": "1"},
+        {"n": 1, "d": 2},
     ):
         with pytest.raises(SchemaError):
             MorphismModel.from_json(corrupt)

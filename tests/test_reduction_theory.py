@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -305,3 +306,10 @@ def test_cliff_p17_scores_one_vertex(monkeypatch):
     rep = reduction_report(model, default_budget(2))
     assert [(e.p, e.e_model, e.eps_estimate) for e in rep.local] == [(17, 2, 2)]
     assert 0 < len(calls) <= 17 + 1
+
+
+def test_local_exponent_json_shape():
+    entry = LocalExponent(3, 4, 2, False)
+    assert json.dumps(entry.to_json()) == '{"p": "3", "e": 4, "eps": 2, "certified": false}'
+    assert LocalExponent.from_json(entry.to_json()) == entry
+    assert LocalExponent.from_json(LocalExponent(7, 2, 0, True).to_json()) == LocalExponent(7, 2, 0, True)

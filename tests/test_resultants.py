@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from conftest import binary, bq, random_model, random_morphism, z_squared
+from conftest import _macaulay_quotient, _perturbation_resultant, binary, bq, random_model, random_morphism, z_squared
 from dynres import (
+    HomogeneousForm,
     InvalidArgumentError,
     MorphismModel,
+    NotAMorphismError,
     exact_determinant,
     macaulay_matrix,
     macaulay_resultant,
@@ -15,7 +17,8 @@ from dynres import (
     sylvester_matrix,
     sylvester_resultant,
 )
-from dynres.resultants import _macaulay_quotient, _perturbation_resultant
+from dynres import _matrix
+from dynres.resultants import nonzero_resultant
 
 X, Y, Z = sympy.symbols("x y z")
 
@@ -258,3 +261,106 @@ def test_perturbation_agrees_with_quotient(rng):
         if q is None:
             continue
         assert _perturbation_resultant(m, "bareiss") == q
+
+
+def _retired_sylvester_rows(f, g):
+    # the row loop sylvester_matrix had before it filled from the Macaulay placement
+    d = f.d
+    rows = []
+    for coeffs in (f.coeffs, g.coeffs):
+        for shift in range(d):
+            row = [Fraction(0)] * (2 * d)
+            for j, c in enumerate(coeffs):
+                row[shift + j] = Fraction(c)
+            rows.append(row)
+    return rows
+
+
+def test_sylvester_matrix_matches_retired_row_loop(rng):
+    for d in (1, 2, 3):
+        zero = HomogeneousForm(1, d, (0,) * (d + 1))
+        pairs = [(zero, zero), (zero, random_model(rng, 1, d).forms[1])]
+        pairs += [random_model(rng, 1, d).forms for _ in range(10)]
+        pairs.append((HomogeneousForm(1, d, tuple(range(1, d + 2))), HomogeneousForm(1, d, (Fraction(1, 2),) * (d + 1))))
+        for f, g in pairs:
+            mat = sylvester_matrix(f, g)
+            assert mat == _retired_sylvester_rows(f, g)
+            assert all(type(x) is Fraction for row in mat for x in row)
+        assert sylvester_resultant(zero, zero) == 0
+
+
+def test_nonzero_resultant():
+    assert nonzero_resultant(bq(1, 0, 8, 0, 1, 0)) == 8
+    with pytest.raises(NotAMorphismError, match="resultant vanishes"):
+        nonzero_resultant(bq(0, 1, 0, 0, 0, 1))
+
+
+def _singular_minor_draws(rng, n, d, count, vanishing):
+    """Sparse models whose reduced minor is singular: morphisms, or models that all vanish at (1:0:...:0)."""
+    per_form = len(monomials(n, d))
+    out = []
+    while len(out) < count:
+        lists = [[0 if rng.random() < 0.6 else rng.randint(-3, 3) for _ in range(per_form)] for _ in range(n + 1)]
+        if vanishing:
+            for row in lists:
+                row[0] = 0  # no X_0^d term anywhere
+        if not any(any(row) for row in lists):
+            continue
+        m = MorphismModel.from_coeff_lists(n, d, lists)
+        if _macaulay_quotient(m, "bareiss") is None and (vanishing or macaulay_resultant(m).value != 0):
+            out.append(m)
+    return out
+
+
+def test_perturbation_matches_retired_interpolation():
+    # delta + 1 nodes give the value that size + 1 nodes gave
+    rng = random.Random(606)
+    values = []
+    for (n, d), count in (((2, 2), 4), ((2, 3), 2)):
+        for m in _singular_minor_draws(rng, n, d, count, False) + _singular_minor_draws(rng, n, d, 1, True):
+            for backend in ("bareiss", "modular_crt"):
+                rv = macaulay_resultant(m, backend)
+                assert rv.method == "perturbation"
+                assert rv.value == _perturbation_resultant(m, backend)
+                values.append(rv.value)
+    assert values.count(0) == 4 and len(values) == 16
+
+
+# det(M') vanishes for these; values recorded with the (size + 1)-node interpolation
+PINNED_PERTURBATION = [
+    (
+        2,
+        3,
+        [[0, 3, 0, 0, -2, 3, 3, 0, 0, -1], [-2, 0, -1, 0, 0, -1, 0, 0, 0, -3], [0, 0, -3, -1, 0, 1, 3, 0, 0, 0]],
+        Fraction(-443682164056140),
+    ),
+    (
+        3,
+        2,
+        [
+            [-2, 0, 0, -1, 0, 0, 0, -2, 2, 0],
+            [0, 0, 0, -1, 0, 0, 1, 0, 2, 0],
+            [0, 0, 0, 3, -2, 0, 1, 0, 0, 0],
+            [0, 0, 3, -3, 0, 0, 0, 3, -3, 3],
+        ],
+        Fraction(5222450184192),
+    ),
+]
+
+
+def test_perturbation_pinned_larger_shapes(monkeypatch):
+    det_sizes = []
+    det_exact = _matrix.det_exact
+
+    def counting(matrix, backend="bareiss"):
+        det_sizes.append(len(matrix))
+        return det_exact(matrix, backend)
+
+    monkeypatch.setattr(_matrix, "det_exact", counting)
+    for n, d, lists, expected in PINNED_PERTURBATION:
+        m = MorphismModel.from_coeff_lists(n, d, lists)
+        det_sizes.clear()
+        rv = macaulay_resultant(m)
+        assert (rv.method, rv.value) == ("perturbation", expected)
+        # R(t) has degree (n+1) d^n, so that many nodes plus one, each one det(M + tI)
+        assert det_sizes.count(macaulay_matrix(m).size()) == (n + 1) * d**n + 1
