@@ -80,9 +80,8 @@ def _integer_scaled(matrix):
     rows = []
     scale = 1
     for row in matrix:
-        frow = [Fraction(x) for x in row]
-        lcm = math.lcm(*[x.denominator for x in frow])
-        rows.append([int(x * lcm) for x in frow])
+        lcm = math.lcm(*[x.denominator for x in row])
+        rows.append([x.numerator * (lcm // x.denominator) for x in row])
         scale *= lcm
     return rows, scale
 

@@ -56,10 +56,6 @@ class CensusConfig:
         if self.threads < 1:
             raise InvalidArgumentError("need threads >= 1")
 
-    @property
-    def full_pipeline(self) -> bool:
-        return (self.n, self.d) == (1, 2)
-
     def settings(self) -> dict:
         """Everything that decides the bytes of the records stream and its summary."""
         return {

@@ -19,7 +19,6 @@ from .exact_arithmetic import is_perfect_square, primitive_integers
 from .moduli_invariants import sigma_invariants
 from .morphism_space import LinearMap, MorphismModel, conjugate, conjugate_integer_rows
 from .reduction_theory import SearchBudget
-from .resultants import nonzero_resultant
 
 CONJUGATE = "conjugate"
 NOT_CONJUGATE = "not_conjugate"
@@ -46,9 +45,6 @@ class TwistBucket:
     qbar_class_key: tuple[Fraction, Fraction]
     classes: tuple[tuple[MorphismModel, ...], ...]
     unknown_pairs: tuple[tuple[int, int], ...]
-
-    def representatives(self) -> tuple[MorphismModel, ...]:
-        return tuple(cls[0] for cls in self.classes)
 
 
 def quadratic_twist_model(b) -> MorphismModel:
@@ -91,11 +87,13 @@ def _search_witness(phi: MorphismModel, psi: MorphismModel, budget: SearchBudget
 
 def conjugacy_test(phi: MorphismModel, psi: MorphismModel, budget: SearchBudget) -> ConjugacyVerdict:
     """Semidecide whether psi is a PGL_2(Q)-conjugate of phi (both quadratic on P^1)."""
+    sigmas = []
     for m in (phi, psi):
         if (m.n, m.d) != (1, 2):
             raise InvalidArgumentError("conjugacy testing is implemented for n = 1, d = 2")
-        nonzero_resultant(m)
-    if sigma_invariants(phi) != sigma_invariants(psi):
+        # raises NotAMorphismError for a model whose resultant vanishes
+        sigmas.append(sigma_invariants(m))
+    if sigmas[0] != sigmas[1]:
         return ConjugacyVerdict(NOT_CONJUGATE, separating_invariant="sigma_invariants")
     if phi.projectively_equal(psi):
         return ConjugacyVerdict(CONJUGATE, witness=LinearMap.identity(1))

@@ -120,12 +120,6 @@ class FactoredIdeal:
     def unit(cls) -> "FactoredIdeal":
         return cls(())
 
-    def as_map(self) -> dict[int, int]:
-        return dict(self.factors)
-
-    def exponent(self, p: int) -> int:
-        return dict(self.factors).get(p, 0)
-
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 

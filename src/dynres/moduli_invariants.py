@@ -6,15 +6,23 @@ the moduli height is the height of [sigma_1 : sigma_2 : 1].  Away from that
 case the coefficient height of the primitive model stands in as an explicitly
 flagged, model-dependent proxy.
 
-Multipliers are never computed one by one.  With f the monic polynomial of
-the affine fixed points and phi = p0/p1, the multiplier function is
-phi'(z) = r/s with r = p0' p1 - p0 p1' and s = p1^2.  An extended Euclid
-gives q = r * s^-1 mod f, and the sum of the j-th powers of the affine
-multipliers is sum_t (q^j mod f)_t * P_t, where P_t is the t-th power sum of
-the roots of f (Newton's identities on its coefficients).  s is invertible
-mod f for every morphism: a fixed root of p1 is a root of p0 = f + z p1, so
-the resultant would vanish.  A fixed point at infinity contributes its
-multiplier, read off in the w = 1/z chart, once per multiplicity.
+Everything starts from the fixed-point form Fix = Y*phi0 - X*phi1, read off
+by shifting coefficients, and its affine part f = p0 - z*p1 for phi = p0/p1.
+At a fixed point p0 = z*p1, so phi' = (p0' - z*p1')/p1 = 1 + f'/p1, and
+q = 1 + f' * p1^-1 mod f (an extended Euclid) takes the multiplier's value at
+every affine fixed point.  Multipliers are never computed one by one: the sum
+of the j-th powers of the affine multipliers is sum_t (q^j mod f)_t * P_t,
+where P_t is the t-th power sum of the roots of f (Newton's identities on its
+coefficients).  A fixed point at infinity contributes its multiplier, read
+off in the w = 1/z chart, once per multiplicity.
+
+The same data decide whether phi is a morphism, so no resultant is computed.
+For d >= 2, Res(phi) = 0 exactly when phi0 and phi1 share a zero P, and then
+Fix(P) = 0, so P is fixed or Fix vanishes identically.  That leaves three
+cases: (a) Fix = 0, i.e. phi = (X*L, Y*L) with deg L = d - 1 >= 1; (b) [1:0]
+is fixed and phi0(1, 0) = 0; (c) an affine fixed point is a root of p1, i.e.
+p1 has no inverse mod f.  None of them can happen for a morphism, and each
+raises NotAMorphismError.
 """
 
 from __future__ import annotations
@@ -65,11 +73,17 @@ class ModuliPoint:
     height: float
 
 
+def _fixed_point_coeffs(model: MorphismModel) -> list:
+    """Y*phi0 - X*phi1 by shifting: (0, a_0, ..., a_d) - (b_0, ..., b_d, 0), lex-desc order."""
+    a, b = model.forms[0].coeffs, model.forms[1].coeffs
+    return [x - y for x, y in zip((0, *a), (*b, 0))]
+
+
 def fixed_point_form(model: MorphismModel) -> HomogeneousForm:
     """Y*phi0 - X*phi1: the degree d+1 binary form cutting out the fixed points."""
     if model.n != 1:
         raise InvalidArgumentError("fixed points as a binary form need n = 1")
-    f = model.forms[0].mul_variable(1).sub(model.forms[1].mul_variable(0))
+    f = HomogeneousForm(1, model.d + 1, tuple(_fixed_point_coeffs(model)))
     if f.is_zero():
         raise DegenerateInputError("every point is fixed; no fixed-point form")
     return f
@@ -169,35 +183,44 @@ def elementary_to_power_sums(elem, k: int) -> list[Fraction]:
     return psums
 
 
-def _affine_multiplier(model: MorphismModel, monic):
-    """q = r * s^-1 mod the monic fixed-point polynomial, for phi'(z) = r/s.
+def _affine_fixed_polynomial(model: MorphismModel) -> list[Fraction]:
+    """f(z) = Fix(z, 1) = p0 - z*p1, ascending in z, trailing zeros dropped."""
+    return _poly_trim([Fraction(c) for c in reversed(_fixed_point_coeffs(model))])
 
-    q takes the value of the multiplier at every affine fixed point.
+
+def _affine_multiplier(model: MorphismModel, monic):
+    """q = 1 + f' * p1^-1 mod f, for f = p0 - z*p1 and monic = f / lc(f).
+
+    q takes the value of the multiplier at every affine fixed point.  f' is
+    the derivative of f itself, not of monic, which is off by the factor lc(f).
     """
-    p0 = [Fraction(c) for c in model.forms[0].dehomogenized()]
-    p1 = [Fraction(c) for c in model.forms[1].dehomogenized()]
-    r = _poly_sub(_poly_mul(_poly_deriv(p0), p1), _poly_mul(p0, _poly_deriv(p1)))
-    s_inv = _poly_inverse_mod(_poly_mul(p1, p1), monic)
-    if s_inv is None:
-        # a fixed point where p1 vanishes is a common root of p0 and p1
+    p1 = _poly_trim([Fraction(c) for c in model.forms[1].dehomogenized()])
+    p1_inv = _poly_inverse_mod(p1, monic)
+    if p1_inv is None:
+        # case (c): a fixed point where p1 vanishes is a common root of p0 and p1
         raise NotAMorphismError("resultant vanishes; not a morphism")
-    return _poly_mod(_poly_mul(r, s_inv), monic)
+    f_prime = _poly_deriv(_affine_fixed_polynomial(model))
+    # 1 + f' * p1^-1, reduced mod f
+    return _poly_mod(_poly_sub(_poly_mul(f_prime, p1_inv), [Fraction(-1)]), monic)
 
 
 def multiplier_power_sums(model: MorphismModel, k: int) -> list[Fraction]:
     """p_j = sum of j-th powers of the d+1 fixed-point multipliers, j = 1..k.
 
     Multiple fixed points keep their multiplicity; the fixed point at infinity
-    (when present) is handled in the w = 1/z chart.
+    (when present) is handled in the w = 1/z chart.  A model whose resultant
+    vanishes raises NotAMorphismError, decided by the three fixed-point cases
+    of the module docstring.
     """
     if model.n != 1 or model.d < 2:
         raise InvalidArgumentError("multiplier spectrum needs n = 1 and d >= 2")
     if k < 0:
         raise InvalidArgumentError("need k >= 0")
-    nonzero_resultant(model)
     d = model.d
-    F = fixed_point_form(model)
-    fixpoly = _poly_trim([Fraction(c) for c in F.dehomogenized()])
+    fixpoly = _affine_fixed_polynomial(model)
+    if not fixpoly:
+        # case (a): phi = (X*L, Y*L)
+        raise NotAMorphismError("resultant vanishes; not a morphism")
     m = len(fixpoly) - 1
     inf_mult = (d + 1) - m
 
@@ -206,6 +229,9 @@ def multiplier_power_sums(model: MorphismModel, k: int) -> list[Fraction]:
         # phi fixes [1:0]; multiplier in the w = 1/z chart is psi'(0) for
         # psi(w) = phi1(1, w)/phi0(1, w)
         lead0 = model.forms[0].coefficient((d, 0))
+        if lead0 == 0:
+            # case (b): phi0 and phi1 both vanish at [1:0]
+            raise NotAMorphismError("resultant vanishes; not a morphism")
         lam_inf = Fraction(model.forms[1].coefficient((d - 1, 1))) / Fraction(lead0)
 
     q = None
@@ -250,7 +276,7 @@ def sigma_invariants_full(model: MorphismModel) -> tuple[Fraction, Fraction, Fra
 def moduli_height(model: MorphismModel) -> ModuliPoint:
     """Height of the class point: exact for (1, 2), coefficient proxy otherwise."""
     if (model.n, model.d) == (1, 2):
-        # multiplier_power_sums rejects a model whose resultant vanishes
+        # multiplier_power_sums rejects a non-morphism by its fixed points
         s1, s2 = sigma_invariants(model)
         z, x, y = primitive_integers((1, s1, s2))
         h = max(abs(x), abs(y), z)

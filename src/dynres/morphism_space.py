@@ -85,22 +85,6 @@ class HomogeneousForm:
             total += term
         return total
 
-    def mul_variable(self, j: int) -> "HomogeneousForm":
-        """Multiply by X_j; degree goes up by one."""
-        terms = {}
-        for exps, c in zip(monomials(self.n, self.d), self.coeffs):
-            if c == 0:
-                continue
-            bumped = list(exps)
-            bumped[j] += 1
-            terms[tuple(bumped)] = c
-        return HomogeneousForm.from_dict(self.n, self.d + 1, terms)
-
-    def sub(self, other: "HomogeneousForm") -> "HomogeneousForm":
-        if (self.n, self.d) != (other.n, other.d):
-            raise InvalidArgumentError("form shapes differ")
-        return HomogeneousForm(self.n, self.d, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
     def dehomogenized(self) -> list:
         """For n = 1: coefficients of f(z) = F(z, 1), ascending in z."""
         if self.n != 1:

@@ -42,7 +42,6 @@ from .morphism_space import (
 )
 from .resultants import nonzero_resultant
 
-GOOD = "good"
 GOOD_CERTIFIED = "good_certified"
 BAD_UPPER_BOUND = "bad_upper_bound"
 

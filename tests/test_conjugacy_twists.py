@@ -96,6 +96,11 @@ def test_conjugacy_validates_inputs():
     cubic = MorphismModel.from_coeff_lists(1, 3, [[1, 0, 0, 0], [0, 0, 0, 1]])
     with pytest.raises(InvalidArgumentError):
         conjugacy_test(cubic, cubic, BUDGET)
+    with pytest.raises(NotAMorphismError):
+        conjugacy_test(z_squared(), bq(0, 1, 0, 0, 0, 1), BUDGET)
+    # phi is checked in full before psi's shape
+    with pytest.raises(NotAMorphismError):
+        conjugacy_test(bq(0, 1, 0, 0, 0, 1), cubic, BUDGET)
 
 
 def test_conjugacy_symmetry(rng):

@@ -1,10 +1,11 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 import sympy
 
-from conftest import binary, bq, random_morphism, twist, z_squared
+from conftest import binary, bq, random_model, random_morphism, twist, z_squared
 from dynres import (
     DegenerateInputError,
     InvalidArgumentError,
@@ -310,3 +311,39 @@ def test_shared_fixed_root_is_not_a_morphism():
     with pytest.raises(DegenerateInputError):
         companion_power_sums(m, 3, shifts=shifts)
     assert shifts == list(range(1, 9))
+
+
+# --- the fixed-point morphism test against the resultant ----------------------
+
+
+def _times_linear(g, r):
+    """Lex-desc coefficients of (X - r Y) * G for G given by its coefficients."""
+    return [a - r * b for a, b in zip(list(g) + [0], [0] + list(g))]
+
+
+def test_fixed_point_morphism_test_matches_resultant(rng):
+    # multiplier_power_sums decides "morphism" from the fixed points alone:
+    # it must refuse exactly the models whose resultant vanishes
+    models = [bq(*t) for t in itertools.product((-1, 0, 1), repeat=6) if any(t)]
+    shaped = []
+    for d in (3, 4):
+        for _ in range(6):
+            models.append(random_model(rng, 1, d, bound=3))
+            L = [rng.randint(1, 3)] + [rng.randint(-3, 3) for _ in range(d - 1)]
+            shaped.append(binary(d, L + [0], [0] + L))  # (a) Fix = 0: phi = (X L, Y L)
+            rows = [[rng.randint(-3, 3) for _ in range(d)] + [rng.randint(1, 3)] for _ in range(2)]
+            rows[0][0] = rows[1][0] = 0
+            shaped.append(binary(d, *rows))  # (b) both forms vanish at [1:0]
+            g0, g1 = ([rng.randint(1, 3)] + [rng.randint(-3, 3) for _ in range(d - 1)] for _ in range(2))
+            r = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            shaped.append(binary(d, _times_linear(g0, r), _times_linear(g1, r)))  # (c) shared affine root
+    assert all(macaulay_resultant(m).value == 0 for m in shaped)
+    for m in models + shaped:
+        zero = macaulay_resultant(m).value == 0
+        for k in (0, m.d + 1):
+            if zero:
+                with pytest.raises(NotAMorphismError) as info:
+                    multiplier_power_sums(m, k)
+                assert str(info.value) == "resultant vanishes; not a morphism"
+            else:
+                assert len(multiplier_power_sums(m, k)) == k
