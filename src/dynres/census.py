@@ -22,7 +22,14 @@ from fractions import Fraction
 from pathlib import Path
 
 from .conjugacy_twists import bucket_twists
-from .errors import CensusAssertionError, CensusConfigMismatchError, InvalidArgumentError
+from .errors import (
+    CensusAssertionError,
+    CensusConfigMismatchError,
+    DynresError,
+    InvalidArgumentError,
+    MalformedJsonError,
+    SchemaError,
+)
 from .exact_arithmetic import FactoredIdeal, primitive_integers, rational_from_string, rational_to_string
 from .moduli_invariants import moduli_height
 from .morphism_space import MorphismModel, monomials
@@ -256,7 +263,10 @@ def stream_records(config: CensusConfig, limit: int | None = None) -> int:
     Enumeration order is deterministic, so an existing file must be a prefix
     of the full stream written under the same settings (checked against
     ``PREFIX.config.json``); a corrupt tail (e.g. from a kill mid-write) is
-    truncated before resuming.  Returns the number of records now persisted.
+    truncated, and every stored key is checked against the enumeration before
+    any new record is computed.  The rest is appended in batches of
+    8 * threads records, each flushed before the next starts, so a kill loses
+    at most the batch in flight.  Returns the number of records now persisted.
     ``limit`` bounds how many new records are written (test hook for
     interruption).
     """
@@ -264,57 +274,50 @@ def stream_records(config: CensusConfig, limit: int | None = None) -> int:
     path.parent.mkdir(parents=True, exist_ok=True)
     _bind_prefix(config)
     existing = _recover_prefix(path)
-    new_written = 0
-    enumerated = 0
-
-    def flush_chunk(sink, chunk):
-        if config.threads > 1 and len(chunk) > 1:
-            with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                records = list(pool.map(lambda mk: compute_record(config, *mk), chunk))
-        else:
-            records = [compute_record(config, model, key) for model, key in chunk]
-        for record in records:
-            sink.write(_record_line(record))
-        sink.flush()
-
-    chunk_size = max(8 * config.threads, 8)
-    with open(path, "a", encoding="utf-8") as sink:
-        chunk: list[tuple[MorphismModel, str]] = []
-        for idx, model in enumerate(enumerate_models(config.n, config.d, config.coeff_bound)):
-            enumerated = idx + 1
-            key = record_key(model)
-            if idx < len(existing):
-                if existing[idx] != key:
-                    raise CensusAssertionError(
-                        f"records file mismatches the enumeration at index {idx}: "
-                        f"{existing[idx]!r} != {key!r}"
-                    )
-                continue
-            chunk.append((model, key))
-            if limit is not None and new_written + len(chunk) >= limit:
-                take = limit - new_written
-                flush_chunk(sink, chunk[:take])
-                return len(existing) + new_written + take
-            if len(chunk) >= chunk_size:
-                flush_chunk(sink, chunk)
-                new_written += len(chunk)
-                chunk = []
-        if chunk:
-            flush_chunk(sink, chunk)
-            new_written += len(chunk)
-    if len(existing) > enumerated:
+    models = enumerate_models(config.n, config.d, config.coeff_bound)
+    checked = 0
+    for stored, model in zip(existing, models):
+        key = record_key(model)
+        if stored != key:
+            raise CensusAssertionError(
+                f"records file mismatches the enumeration at index {checked}: {stored!r} != {key!r}"
+            )
+        checked += 1
+    if checked < len(existing):
         raise CensusAssertionError(
-            f"records file holds {len(existing)} records but the enumeration yields {enumerated}"
+            f"records file holds {len(existing)} records but the enumeration yields {checked}"
         )
-    return len(existing) + new_written
+    rest = itertools.islice(models, limit)
+    written = 0
+    with open(path, "a", encoding="utf-8") as sink, ThreadPoolExecutor(config.threads) as pool:
+        run = pool.map if config.threads > 1 else map
+        while batch := list(itertools.islice(rest, 8 * config.threads)):
+            for record in run(lambda model: compute_record(config, model, record_key(model)), batch):
+                sink.write(_record_line(record))
+            sink.flush()
+            written += len(batch)
+    return len(existing) + written
 
 
 def load_records(path) -> list[CensusRecord]:
+    """Every record of a records file; a malformed file raises a SchemaError or MalformedJsonError."""
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                records.append(CensusRecord.from_json(json.loads(line)))
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise SchemaError(f"cannot read {path}: {exc}") from exc
+    with fh:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                data = json.loads(line)
+            except ValueError as exc:
+                raise MalformedJsonError(f"{path} line {number} is not valid JSON: {exc}") from exc
+            try:
+                records.append(CensusRecord.from_json(data))
+            except (AttributeError, KeyError, TypeError, ValueError, DynresError) as exc:
+                raise SchemaError(f"{path} line {number} is not a census record: {exc!r}") from exc
     return records
 
 

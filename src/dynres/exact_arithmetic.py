@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import InvalidArgumentError, UnfactoredResidueError
 
-Rational = Fraction
+TRIAL_BOUND = 10**6
 
 
 class _InfiniteValuation:
@@ -176,10 +176,10 @@ def _pollard_rho(n: int, seed: int) -> int:
     return g
 
 
-def factor_integer(n: int, trial_bound: int = 10**6, rho_rounds: int = 40) -> dict[int, int]:
+def factor_integer(n: int, rho_rounds: int = 40) -> dict[int, int]:
     """Factor |n| >= 1 into primes.
 
-    Trial division up to ``trial_bound``, then Pollard rho on what remains.
+    Trial division up to ``TRIAL_BOUND``, then Pollard rho on what remains.
     If rho stalls, raises UnfactoredResidueError naming the composite cofactor
     rather than returning a wrong answer.
     """
@@ -194,7 +194,7 @@ def factor_integer(n: int, trial_bound: int = 10**6, rho_rounds: int = 40) -> di
     # wheel over 30 avoids multiples of 2, 3, 5
     q, inc = 7, (4, 2, 4, 2, 4, 6, 2, 6)
     i = 0
-    while q * q <= n and q <= trial_bound:
+    while q * q <= n and q <= TRIAL_BOUND:
         while n % q == 0:
             out[q] = out.get(q, 0) + 1
             n //= q

@@ -56,17 +56,6 @@ class HomogeneousForm:
                 f"{len(monomials(self.n, self.d))} coefficients, got {len(self.coeffs)}"
             )
 
-    @classmethod
-    def from_dict(cls, n: int, d: int, terms: dict[MultiIndex, Fraction]) -> "HomogeneousForm":
-        idx = monomial_index(n, d)
-        coeffs = [Fraction(0)] * len(idx)
-        for exps, c in terms.items():
-            key = tuple(exps)
-            if len(key) != n + 1 or any(e < 0 for e in key) or sum(key) != d:
-                raise InvalidArgumentError(f"bad exponent tuple {key} for (n={n}, d={d})")
-            coeffs[idx[key]] += c
-        return cls(n, d, tuple(coeffs))
-
     def coefficient(self, exps: MultiIndex):
         return self.coeffs[monomial_index(self.n, self.d)[tuple(exps)]]
 
@@ -175,7 +164,7 @@ class MorphismModel:
                     terms[exps] = rational_from_string(str(val_s))
                 except InvalidArgumentError as exc:
                     raise SchemaError(str(exc)) from exc
-            forms.append(HomogeneousForm.from_dict(n, d, terms))
+            forms.append(HomogeneousForm(n, d, tuple(terms.get(m, Fraction(0)) for m in monomials(n, d))))
         try:
             return cls(n, d, tuple(forms))
         except InvalidArgumentError as exc:

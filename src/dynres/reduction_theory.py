@@ -27,6 +27,7 @@ stopping floor.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -132,11 +133,8 @@ def search_moves(n: int, p: int, budget: SearchBudget):
     non-negative with one of them 0), smallest max |a_i| first.
     """
     amp = 2 * budget.a_max
-    exps = sorted(range(-amp, amp + 1), key=lambda x: (abs(x), x))
-    stack = [()]
-    for _ in range(n):
-        stack = [t + (a,) for t in stack for a in exps]
-    for tail in sorted(stack, key=lambda t: (max(abs(a) for a in t), t)):
+    tails = itertools.product(range(-amp, amp + 1), repeat=n)
+    for tail in sorted(tails, key=lambda t: (max(abs(a) for a in t), t)):
         if all(a == 0 for a in tail):
             continue
         diag = [a - min(0, *tail) for a in (0,) + tail]

@@ -9,6 +9,7 @@ the benchmark unnoticed.  The files are parsed, not imported or run.
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -32,8 +33,8 @@ def test_tracer_boundaries_resolve():
             assert callable(getattr(mod, name, None)), f"dynres.{module}.{name} is traced but missing"
 
 
-def _dynres_chains(tree) -> set[str]:
-    """Every dotted name the code reaches through a name or attribute called dynres.
+def _chain_resolver(tree):
+    """A function taking an expression to the dotted name it reaches through dynres, or None.
 
     A plain alias such as ``cli = state.dynres.cli`` is followed, so
     ``cli.main`` counts as ``dynres.cli.main``.
@@ -61,26 +62,92 @@ def _dynres_chains(tree) -> set[str]:
             chain = rooted(dotted(node.value), {})
             if chain is not None and len(chain) > 1:
                 aliases[node.targets[0].id] = chain
+
+    def resolve(node):
+        chain = rooted(dotted(node), aliases)
+        return ".".join(chain) if chain is not None and len(chain) > 1 else None
+
+    return resolve
+
+
+def _dynres_chains(tree) -> set[str]:
+    """Every dotted name the code reaches through a name or attribute called dynres."""
+    resolve = _chain_resolver(tree)
     inner = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    chains = set()
+    chains = {resolve(node) for node in ast.walk(tree) if isinstance(node, ast.Attribute) and id(node) not in inner}
+    return chains - {None}
+
+
+def _dynres_calls(tree) -> list[tuple[str, int, tuple[str, ...], int]]:
+    """(callee chain, positional count, keyword names, line) for each call of a dynres name.
+
+    ``*NAME`` counts as the length of NAME when NAME is a module-level tuple
+    literal; a call with any other starred argument, or with ``**``, is left out.
+    """
+    resolve = _chain_resolver(tree)
+    tuples = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    tuples[target.id] = len(node.value.elts)
+    calls = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and id(node) not in inner:
-            chain = rooted(dotted(node), aliases)
-            if chain is not None and len(chain) > 1:
-                chains.add(".".join(chain))
-    return chains
+        if not isinstance(node, ast.Call) or (chain := resolve(node.func)) is None:
+            continue
+        if any(kw.arg is None for kw in node.keywords):
+            continue
+        positional = 0
+        for arg in node.args:
+            if not isinstance(arg, ast.Starred):
+                positional += 1
+            elif isinstance(arg.value, ast.Name) and arg.value.id in tuples:
+                positional += tuples[arg.value.id]
+            else:
+                break
+        else:
+            calls.append((chain, positional, tuple(kw.arg for kw in node.keywords), node.lineno))
+    return calls
 
 
-def test_workload_names_resolve():
+def _workload_trees():
+    return [(path.name, ast.parse(path.read_text(encoding="utf-8"))) for path in sorted(PERFBENCH.glob("wl_*.py"))]
+
+
+def _lookup(chain):
     import dynres
     import dynres.cli  # noqa: F401  (the harness imports it too)
 
+    obj = dynres
+    for part in chain.split(".")[1:]:
+        assert hasattr(obj, part), f"perfbench uses {chain}, which dynres does not have"
+        obj = getattr(obj, part)
+    return obj
+
+
+def test_workload_names_resolve():
     chains = set()
-    for path in sorted(PERFBENCH.glob("wl_*.py")):
-        chains |= _dynres_chains(ast.parse(path.read_text(encoding="utf-8")))
+    for _, tree in _workload_trees():
+        chains |= _dynres_chains(tree)
     assert {"dynres.MorphismModel.from_coeff_lists", "dynres.cli.main", "dynres.census"} <= chains
     for chain in sorted(chains):
-        obj = dynres
-        for part in chain.split(".")[1:]:
-            assert hasattr(obj, part), f"perfbench uses {chain}, which dynres does not have"
-            obj = getattr(obj, part)
+        _lookup(chain)
+
+
+def test_workload_calls_bind():
+    calls = [(name, *call) for name, tree in _workload_trees() for call in _dynres_calls(tree)]
+    seen = {(chain, positional, keywords) for _, chain, positional, keywords, _ in calls}
+    # the census settings, the starred search budget and the interrupted stream
+    assert ("dynres.CensusConfig", 0, ("n", "d", "coeff_bound", "B", "budget", "output_prefix", "threads")) in seen
+    assert ("dynres.SearchBudget", 3, ()) in seen
+    assert ("dynres.stream_records", 1, ("limit",)) in seen
+    assert ("dynres.macaulay_resultant", 2, ()) in seen  # through ``resultant = state.dynres.macaulay_resultant``
+    for name, chain, positional, keywords, line in calls:
+        signature = inspect.signature(_lookup(chain))
+        try:
+            signature.bind(*[None] * positional, **dict.fromkeys(keywords))
+        except TypeError as exc:
+            raise AssertionError(
+                f"perfbench/{name}:{line} calls {chain}{signature} with {positional} positional "
+                f"and keywords {keywords}: {exc}"
+            ) from None

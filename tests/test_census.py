@@ -158,6 +158,52 @@ def test_threads_do_not_change_bytes(tmp_path):
     assert one.records_path.read_bytes() == two.records_path.read_bytes()
 
 
+def test_threads_limit_then_resume_matches_one_thread(tmp_path):
+    one = _config(tmp_path, "one", threads=1)
+    assert stream_records(one) == 240
+    two = _config(tmp_path, "two", threads=2)
+    assert stream_records(two, limit=37) == 37
+    assert len(two.records_path.read_bytes().splitlines()) == 37
+    assert stream_records(two) == 240
+    assert two.records_path.read_bytes() == one.records_path.read_bytes()
+
+
+def test_failed_record_leaves_a_resumable_file(tmp_path, monkeypatch):
+    full = _config(tmp_path, "full")
+    stream_records(full)
+    reference = full.records_path.read_bytes()
+
+    calls = [0]
+
+    def fail_on_13th(config, model, key):
+        calls[0] += 1
+        if calls[0] == 13:
+            raise RuntimeError("killed inside the second batch")
+        return compute_record(config, model, key)
+
+    broken = _config(tmp_path, "broken")
+    monkeypatch.setattr("dynres.census.compute_record", fail_on_13th)
+    with pytest.raises(RuntimeError):
+        stream_records(broken)
+    monkeypatch.undo()
+    left = broken.records_path.read_bytes()
+    # the batch's records before the failing one are on disk, whole
+    assert reference.startswith(left) and len(left.splitlines()) == 12
+    assert stream_records(broken) == 240
+    assert broken.records_path.read_bytes() == reference
+
+
+def test_resume_rejects_records_beyond_the_enumeration(tmp_path):
+    config = _config(tmp_path, "long")
+    stream_records(config)
+    lines = config.records_path.read_bytes().splitlines(keepends=True)
+    with open(config.records_path, "ab") as fh:
+        fh.write(lines[-1])
+    with pytest.raises(CensusAssertionError) as excinfo:
+        stream_records(config)
+    assert str(excinfo.value) == "records file holds 241 records but the enumeration yields 240"
+
+
 def test_config_validation(tmp_path):
     with pytest.raises(InvalidArgumentError):
         CensusConfig(n=0, d=2, coeff_bound=1, B=8, budget=BUDGET, output_prefix=str(tmp_path / "x"))

@@ -185,3 +185,17 @@ def test_round_trip_through_cli(tmp_path, capsys):
         line = json.loads(fh.readline())
     model = MorphismModel.from_json(line["model"])
     assert json.dumps(model.to_json(), sort_keys=True) == json.dumps(line["model"], sort_keys=True)
+
+
+def test_report_rejects_malformed_records(tmp_path, capsys):
+    missing = tmp_path / "missing.records.jsonl"
+    not_json = tmp_path / "not_json.records.jsonl"
+    not_json.write_text("{not json\n")
+    not_record = tmp_path / "not_record.records.jsonl"
+    not_record.write_text(json.dumps({"key": "x"}) + "\n")
+    for path, error in ((missing, "schema-violation"), (not_json, "malformed-json"), (not_record, "schema-violation")):
+        code, out = _run(capsys, ["report", "--records", str(path), "--B", "2"])
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["error"] == error
+        assert str(path) in payload["message"]

@@ -174,9 +174,14 @@ def test_json_schema_violations():
         {**good, "n": True},
         {**good, "n": "1"},
         {"n": 1, "d": 2},
+        {"n": 1, "d": -1, "forms": [[["0,0", "1"]], []]},
     ):
         with pytest.raises(SchemaError):
             MorphismModel.from_json(corrupt)
+    # a negative degree with no entries to check reaches the monomial table
+    with pytest.raises(InvalidArgumentError) as excinfo:
+        MorphismModel.from_json({"n": 1, "d": -1, "forms": [[], []]})
+    assert excinfo.value.code == "invalid-argument"
     # sparse payloads (zero terms omitted) are accepted
     sparse = {"n": 1, "d": 2, "forms": [[["2,0", "1"], ["0,2", "2"]], [["1,1", "1"]]]}
     assert MorphismModel.from_json(sparse).projectively_equal(twist(2))
