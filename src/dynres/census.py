@@ -1,9 +1,14 @@
-"""Bounded-height census: enumerate, reduce, bucket, and summarize.
+"""Bounded-height census of quadratic maps of P^1: enumerate, reduce, bucket, and summarize.
+
+The census runs for (n, d) = (1, 2) only: there the moduli height is a class
+invariant, read from the multiplier invariants (sigma1, sigma2) that identify
+M_2 with A^2.  For any other shape it would be a model-dependent proxy, and a
+census would count models, not classes.
 
 Streams every primitive canonical model with coefficients in [-H, H] and
 nonzero resultant through the reduction and moduli pipelines, persisting one
 JSON line per model (resumable byte-for-byte), then counts conjugacy classes
-of the bounded set over a grid of bounds B.
+of the bounded set over a grid of bounds B.  An empty census has zero classes.
 
 Membership convention: a record is in Gamma_B when its minimal-resultant norm
 upper bound is <= B and its multiplicative moduli height (max |coordinate| of
@@ -30,7 +35,14 @@ from .errors import (
     MalformedJsonError,
     SchemaError,
 )
-from .exact_arithmetic import FactoredIdeal, primitive_integers, rational_from_string, rational_to_string
+from .exact_arithmetic import (
+    FactoredIdeal,
+    int_from_string,
+    json_typed,
+    primitive_integers,
+    rational_from_string,
+    rational_to_string,
+)
 from .moduli_invariants import moduli_height
 from .morphism_space import MorphismModel, monomials
 from .reduction_theory import LocalExponent, ReductionReport, SearchBudget, reduction_report, s_b_primes
@@ -54,8 +66,8 @@ class CensusConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.n < 1 or self.d < 1:
-            raise InvalidArgumentError("need n >= 1 and d >= 1")
+        if (self.n, self.d) != (1, 2):
+            raise InvalidArgumentError(f"the census runs for n = 1, d = 2 only, not n = {self.n}, d = {self.d}")
         if self.coeff_bound < 0:
             raise InvalidArgumentError("coefficient bound must be >= 0")
         if self.B < 1:
@@ -104,8 +116,8 @@ class CensusRecord:
     norm: int
     norm_lower_bound: int
     fully_certified: bool
-    sigma: tuple[Fraction, Fraction] | None
-    moduli_point: tuple[int, int, int] | None
+    sigma: tuple[Fraction, Fraction]
+    moduli_point: tuple[int, int, int]
     mult_height: int
     moduli_height: float
     in_gamma: bool
@@ -124,8 +136,8 @@ class CensusRecord:
             "norm_is_upper_bound": not self.fully_certified,
             "norm_lower_bound": str(self.norm_lower_bound),
             "fully_certified": self.fully_certified,
-            "sigma": None if self.sigma is None else [rational_to_string(s) for s in self.sigma],
-            "moduli_point": None if self.moduli_point is None else [str(x) for x in self.moduli_point],
+            "sigma": [rational_to_string(s) for s in self.sigma],
+            "moduli_point": [str(x) for x in self.moduli_point],
             "mult_height": str(self.mult_height),
             "moduli_height": float(f"{self.moduli_height:.12g}"),
             "in_gamma": self.in_gamma,
@@ -134,22 +146,26 @@ class CensusRecord:
 
     @classmethod
     def from_json(cls, data: dict) -> "CensusRecord":
-        sigma = data["sigma"]
-        point = data["moduli_point"]
+        """The record ``to_json`` wrote; any other type or shape is a SchemaError."""
+        model = MorphismModel.from_json(data["model"])
+        if data["key"] != record_key(model):
+            raise SchemaError(f"key {data['key']!r} is not the key {record_key(model)!r} of the record's model")
+        s1, s2 = data["sigma"]
+        x, y, z = data["moduli_point"]
         return cls(
             key=data["key"],
-            model=MorphismModel.from_json(data["model"]),
+            model=model,
             res=rational_from_string(data["res"]),
             local=tuple(LocalExponent.from_json(e) for e in data["local"]),
             minimal_resultant=FactoredIdeal.from_json(data["minimal_resultant"]),
-            norm=int(data["norm"]),
-            norm_lower_bound=int(data["norm_lower_bound"]),
-            fully_certified=data["fully_certified"],
-            sigma=None if sigma is None else tuple(rational_from_string(s) for s in sigma),
-            moduli_point=None if point is None else tuple(int(x) for x in point),
-            mult_height=int(data["mult_height"]),
-            moduli_height=data["moduli_height"],
-            in_gamma=data["in_gamma"],
+            norm=int_from_string(data["norm"]),
+            norm_lower_bound=int_from_string(data["norm_lower_bound"]),
+            fully_certified=json_typed(data["fully_certified"], bool),
+            sigma=(rational_from_string(s1), rational_from_string(s2)),
+            moduli_point=(int_from_string(x), int_from_string(y), int_from_string(z)),
+            mult_height=int_from_string(data["mult_height"]),
+            moduli_height=json_typed(data["moduli_height"], float),
+            in_gamma=json_typed(data["in_gamma"], bool),
         )
 
 
@@ -334,8 +350,8 @@ def b_grid(B: int) -> list[int]:
 class CensusSummary:
     meta: dict
     per_b: tuple[dict, ...]
-    classes: tuple[dict, ...] | None
-    monic: dict | None
+    classes: tuple[dict, ...]
+    monic: dict
     total_models: int
 
     def to_json(self) -> dict:
@@ -344,93 +360,65 @@ class CensusSummary:
             "meta": self.meta,
             "total_models": self.total_models,
             "per_b": list(self.per_b),
-            "classes": None if self.classes is None else list(self.classes),
+            "classes": list(self.classes),
             "monic": self.monic,
         }
 
 
-def _is_monic_polynomial_map(model: MorphismModel) -> bool:
-    # z^d + ... as a model: last form is exactly Y^d, leading coefficient 1
-    if model.n != 1:
-        return False
-    last = model.forms[1].coeffs
-    return last[-1] == 1 and all(c == 0 for c in last[:-1]) and model.forms[0].coeffs[0] == 1
-
-
 def summarize_records(records: list[CensusRecord], B: int, budget: SearchBudget, meta: dict) -> CensusSummary:
     """Class-count intervals over the B grid, plus the per-record hard checks."""
-    full = all(r.sigma is not None for r in records) and bool(records)
-    classes_json = None
+    members = [r for r in records if r.norm <= B and r.mult_height <= B]
+    buckets = bucket_twists([r.model for r in members], budget, [r.sigma for r in members])
+    classes = []
     key_to_class: dict[str, str] = {}
-    if full:
-        members = [r for r in records if r.norm <= B and r.mult_height <= B]
-        buckets = bucket_twists([r.model for r in members], budget, [r.sigma for r in members])
-        classes_json = []
-        for bucket in buckets:
-            for cls in bucket.classes:
-                class_id = f"C{len(classes_json):04d}"
-                member_keys = sorted(record_key(m) for m in cls)
-                classes_json.append(
-                    {
-                        "class_id": class_id,
-                        "sigma": [rational_to_string(s) for s in bucket.qbar_class_key],
-                        "representative": member_keys[0],
-                        "members": member_keys,
-                    }
-                )
-                for k in member_keys:
-                    key_to_class[k] = class_id
+    for bucket in buckets:
+        for cls in bucket.classes:
+            class_id = f"C{len(classes):04d}"
+            member_keys = sorted(record_key(m) for m in cls)
+            classes.append(
+                {
+                    "class_id": class_id,
+                    "sigma": [rational_to_string(s) for s in bucket.qbar_class_key],
+                    "representative": member_keys[0],
+                    "members": member_keys,
+                }
+            )
+            for k in member_keys:
+                key_to_class[k] = class_id
 
     per_b = []
-    previous = None
     for b in b_grid(B):
         allowed = set(s_b_primes(b))
         members_b = [r for r in records if r.norm <= b and r.mult_height <= b]
         for r in members_b:
             if not set(r.bad_primes()).issubset(allowed):
                 raise CensusAssertionError(f"record {r.key} has a bad prime outside S_{b}", r)
-        possible_b = sum(
-            1 for r in records if r.norm > b and r.norm_lower_bound <= b and r.mult_height <= b
-        )
         entry = {
             "B": b,
             "gamma_definite": len(members_b),
-            "gamma_possible_extra": possible_b,
+            "gamma_possible_extra": sum(r.norm > b >= r.norm_lower_bound and r.mult_height <= b for r in records),
             "sb_primes": s_b_primes(b),
             "sb_check": "pass",
+            "class_count_lower": len({r.sigma for r in members_b}),
+            "class_count_upper": len({key_to_class[r.key] for r in members_b}),
+            "northcott_sigma_keys": len({r.sigma for r in records if r.mult_height <= b}),
         }
-        if full:
-            sigma_keys = {r.sigma for r in members_b}
-            upper = len({key_to_class[r.key] for r in members_b})
-            entry["class_count_lower"] = len(sigma_keys)
-            entry["class_count_upper"] = upper
-            entry["northcott_sigma_keys"] = len({r.sigma for r in records if r.mult_height <= b})
-        if previous is not None:
-            monotone = entry["gamma_definite"] >= previous["gamma_definite"] and (
-                not full
-                or (
-                    entry["class_count_lower"] >= previous["class_count_lower"]
-                    and entry["class_count_upper"] >= previous["class_count_upper"]
-                )
-            )
-            if not monotone:
-                raise CensusAssertionError(f"counts decreased from B={previous['B']} to B={b}")
-        previous = entry
+        counts = ("gamma_definite", "class_count_lower", "class_count_upper")
+        if per_b and any(entry[k] < per_b[-1][k] for k in counts):
+            raise CensusAssertionError(f"counts decreased from B={per_b[-1]['B']} to B={b}")
         per_b.append(entry)
 
-    monic_json = None
-    if records and records[0].model.n == 1:
-        monic = [r for r in records if _is_monic_polynomial_map(r.model)]
-        for r in monic:
-            if r.norm != 1 or not r.fully_certified:
-                raise CensusAssertionError(f"monic record {r.key} lacks unit minimal resultant", r)
-        monic_json = {"count": len(monic), "all_unit_ideal": True}
+    # the monic polynomial maps z^2 + bz + c: [X^2 + bXY + cY^2 : Y^2]
+    monic = [r for r in records if r.model.forms[1].coeffs == (0, 0, 1) and r.model.forms[0].coeffs[0] == 1]
+    for r in monic:
+        if r.norm != 1 or not r.fully_certified:
+            raise CensusAssertionError(f"monic record {r.key} lacks unit minimal resultant", r)
 
     return CensusSummary(
         meta=meta,
         per_b=tuple(per_b),
-        classes=None if classes_json is None else tuple(classes_json),
-        monic=monic_json,
+        classes=tuple(classes),
+        monic={"count": len(monic), "all_unit_ideal": True},
         total_models=len(records),
     )
 
@@ -448,21 +436,13 @@ def render_report(summary: CensusSummary) -> str:
     lines.append(header)
     lines.append("-" * len(header))
     for entry in summary.per_b:
-        if "class_count_lower" in entry:
-            classes = f"[{entry['class_count_lower']},{entry['class_count_upper']}]"
-            keys = str(entry["class_count_lower"])
-        else:
-            classes = "n/a"
-            keys = "n/a"
+        classes = f"[{entry['class_count_lower']},{entry['class_count_upper']}]"
         sb = ",".join(str(p) for p in entry["sb_primes"]) or "-"
         lines.append(
             f"{entry['B']:>6} {entry['gamma_definite']:>7} {entry['gamma_possible_extra']:>9} "
-            f"{classes:>12} {keys:>11} {sb:>24}"
+            f"{classes:>12} {entry['class_count_lower']:>11} {sb:>24}"
         )
-    if summary.monic:
-        lines.append(
-            f"monic polynomial maps: {summary.monic['count']} (all with unit minimal resultant ideal)"
-        )
+    lines.append(f"monic polynomial maps: {summary.monic['count']} (all with unit minimal resultant ideal)")
     return "\n".join(lines) + "\n"
 
 

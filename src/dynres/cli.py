@@ -43,7 +43,7 @@ SCHEMAS = {
         "kind": "sigma_invariants | coefficient_proxy",
     },
     "twist-test": {"status": "conjugate | not_conjugate | unknown", "witness": "matrix of string rationals or null"},
-    "census": "flags --n --d --H --B [--budget AMAX[,DEPTH[,MBOUND]]] [--threads N] --out PREFIX;"
+    "census": "flags --n 1 --d 2 (no other shape) --H --B [--budget AMAX[,DEPTH[,MBOUND]]] [--threads N] --out PREFIX;"
     " writes PREFIX.config.json, PREFIX.records.jsonl, PREFIX.summary.json, PREFIX.report.txt",
     "error": {"error": "code string", "message": "human-readable detail"},
 }
@@ -161,18 +161,8 @@ def _cmd_census(args) -> int:
 
 def _cmd_report(args) -> int:
     records = load_records(args.records)
-    if not records:
-        raise SchemaError(f"no records in {args.records}")
-    d = records[0].model.d
-    budget = _parse_budget(args.budget, d)
-    meta = {
-        "n": records[0].model.n,
-        "d": d,
-        "coeff_bound": None,
-        "B": args.B,
-        "records": args.records,
-    }
-    summary = summarize_records(records, args.B, budget, meta)
+    meta = {"n": 1, "d": 2, "coeff_bound": None, "B": args.B, "records": args.records}
+    summary = summarize_records(records, args.B, _parse_budget(args.budget, 2), meta)
     if args.format == "json":
         _emit(summary.to_json())
     else:

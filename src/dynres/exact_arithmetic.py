@@ -8,10 +8,11 @@ in factored form.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidArgumentError, UnfactoredResidueError
+from .errors import InvalidArgumentError, SchemaError, UnfactoredResidueError
 
 TRIAL_BOUND = 10**6
 
@@ -39,7 +40,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -140,7 +141,7 @@ class FactoredIdeal:
 
     @classmethod
     def from_json(cls, data: dict) -> "FactoredIdeal":
-        return cls.from_map({int(p): int(e) for p, e in data.items()})
+        return cls.from_map({int_from_string(p): json_typed(e, int) for p, e in data.items()})
 
 
 def ideal_norm(ideal: FactoredIdeal) -> int:
@@ -249,6 +250,20 @@ def is_perfect_square(n: int) -> bool:
         return False
     r = math.isqrt(n)
     return r * r == n
+
+
+def int_from_string(value) -> int:
+    """An integer read back from the decimal string ``str(n)`` writes; anything else is a SchemaError."""
+    if not (isinstance(value, str) and re.fullmatch(r"-?(0|[1-9][0-9]*)", value)):
+        raise SchemaError(f"expected a decimal integer string, got {value!r}")
+    return int(value)
+
+
+def json_typed(value, kind: type):
+    """``value`` if json.loads gave it exactly the type ``kind``: true is not an int, nor is 1.7."""
+    if type(value) is not kind:
+        raise SchemaError(f"expected a JSON {kind.__name__}, got {value!r}")
+    return value
 
 
 def rational_to_string(x) -> str:

@@ -34,7 +34,15 @@ from fractions import Fraction
 
 from . import _matrix
 from .errors import InvalidArgumentError
-from .exact_arithmetic import FactoredIdeal, _ord_int, factor_integer, primes_up_to, valuation
+from .exact_arithmetic import (
+    FactoredIdeal,
+    _ord_int,
+    factor_integer,
+    int_from_string,
+    json_typed,
+    primes_up_to,
+    valuation,
+)
 from .morphism_space import (
     MorphismModel,
     conjugate_integer_rows,
@@ -92,7 +100,8 @@ class LocalExponent:
 
     @classmethod
     def from_json(cls, data: dict) -> "LocalExponent":
-        return cls(int(data["p"]), data["e"], data["eps"], data["certified"])
+        p, e, eps = int_from_string(data["p"]), json_typed(data["e"], int), json_typed(data["eps"], int)
+        return cls(p, e, eps, json_typed(data["certified"], bool))
 
 
 @dataclass(frozen=True, slots=True)

@@ -151,3 +151,31 @@ def test_workload_calls_bind():
                 f"perfbench/{name}:{line} calls {chain}{signature} with {positional} positional "
                 f"and keywords {keywords}: {exc}"
             ) from None
+
+
+def _module_literals(path: Path) -> dict:
+    """Module-level names bound to literals; ``N, D = 1, 2`` binds each name."""
+    literals = {}
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
+            continue
+        try:
+            value = ast.literal_eval(node.value)
+        except ValueError:
+            continue
+        target = node.targets[0]
+        if isinstance(target, ast.Name):
+            literals[target.id] = value
+        elif isinstance(target, ast.Tuple):
+            literals.update(zip((name.id for name in target.elts), value, strict=True))
+    return literals
+
+
+def test_census_workload_shape_is_accepted():
+    # a census shape the package refuses would surface only as a failed benchmark run
+    from dynres import CensusConfig, SearchBudget
+
+    wl = _module_literals(PERFBENCH / "wl_census.py")
+    budget = SearchBudget(*wl["BUDGET"])
+    config = CensusConfig(n=wl["N"], d=wl["D"], coeff_bound=wl["H"], B=wl["B"], budget=budget, output_prefix="census")
+    assert (config.n, config.d) == (1, 2)

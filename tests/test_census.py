@@ -20,6 +20,7 @@ from dynres import (
     summarize_records,
 )
 from dynres.census import CensusRecord, b_grid, compute_record, record_key
+from dynres.cli import main
 
 BUDGET = SearchBudget(a_max=4, translation_depth=2, matrix_bound=2)
 
@@ -113,13 +114,16 @@ def test_resume_truncates_partial_tail(tmp_path):
 
 
 def test_resume_rejects_foreign_records(tmp_path):
+    # same settings and config file, but lines 3 and 4 are out of enumeration order
     foreign = _config(tmp_path, "foreign", coeff_bound=1)
     stream_records(foreign, limit=10)
-    clash = CensusConfig(
-        n=1, d=1, coeff_bound=1, B=8, budget=BUDGET, output_prefix=str(tmp_path / "foreign")
-    )
-    with pytest.raises(CensusAssertionError):
-        stream_records(clash)
+    lines = foreign.records_path.read_bytes().splitlines(keepends=True)
+    lines[2], lines[3] = lines[3], lines[2]
+    foreign.records_path.write_bytes(b"".join(lines))
+    with pytest.raises(CensusAssertionError) as excinfo:
+        stream_records(foreign)
+    assert str(excinfo.value).startswith("records file mismatches the enumeration at index 2: ")
+    assert foreign.records_path.read_bytes() == b"".join(lines)
 
 
 def test_resume_refuses_other_settings(tmp_path):
@@ -209,6 +213,11 @@ def test_config_validation(tmp_path):
         CensusConfig(n=0, d=2, coeff_bound=1, B=8, budget=BUDGET, output_prefix=str(tmp_path / "x"))
     with pytest.raises(InvalidArgumentError):
         CensusConfig(n=1, d=2, coeff_bound=1, B=0, budget=BUDGET, output_prefix=str(tmp_path / "x"))
+    # the moduli height is a class invariant only for quadratic maps of P^1
+    for n, d in ((1, 1), (2, 2), (1, 3)):
+        with pytest.raises(InvalidArgumentError) as excinfo:
+            CensusConfig(n=n, d=d, coeff_bound=1, B=8, budget=BUDGET, output_prefix=str(tmp_path / "x"))
+        assert excinfo.value.code == "invalid-argument"
 
 
 def test_run_census_h1_summary(tmp_path):
@@ -243,6 +252,36 @@ def test_run_census_h1_summary(tmp_path):
     monic = [r for r in records if r.model.forms[1].coeffs == (0, 0, 1) and r.model.forms[0].coeffs[0] == 1]
     assert len(monic) == 9
     assert all(r.norm == 1 and r.fully_certified for r in monic)
+
+
+def test_empty_census_has_zero_classes(tmp_path, capsys):
+    config = _config(tmp_path, "empty", coeff_bound=0)
+    summary = run_census(config)
+    assert config.records_path.read_bytes() == b""
+    assert summary.total_models == 0
+    assert summary.classes == ()
+    assert summary.monic == {"count": 0, "all_unit_ideal": True}
+    zero = {
+        "gamma_definite": 0,
+        "gamma_possible_extra": 0,
+        "sb_check": "pass",
+        "class_count_lower": 0,
+        "class_count_upper": 0,
+        "northcott_sigma_keys": 0,
+    }
+    assert list(summary.per_b) == [
+        {"B": b, "sb_primes": primes, **zero} for b, primes in ((1, []), (2, [2]), (4, [2, 3]), (8, [2, 3, 5, 7]))
+    ]
+    written = json.loads(config.summary_path.read_text())
+    assert written["classes"] == [] and written["monic"] == summary.monic
+    report = config.report_path.read_text()
+    assert "n/a" not in report
+    assert report.splitlines()[-1] == "monic polynomial maps: 0 (all with unit minimal resultant ideal)"
+
+    # dynres report recounts the empty records file to the same zero classes
+    assert main(["report", "--records", str(config.records_path), "--B", "8", "--format", "json"]) == 0
+    recounted = json.loads(capsys.readouterr().out)
+    assert (recounted["per_b"], recounted["classes"], recounted["monic"]) == (written["per_b"], [], written["monic"])
 
 
 def test_census_rerun_is_stable(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 from conftest import bq, twist, z_squared
@@ -180,11 +181,23 @@ def test_round_trip_through_cli(tmp_path, capsys):
     from dynres import MorphismModel
 
     prefix = str(tmp_path / "rt")
-    _run(capsys, ["census", "--n", "1", "--d", "1", "--H", "1", "--B", "1", "--out", prefix])
+    _run(capsys, ["census", "--n", "1", "--d", "2", "--H", "1", "--B", "1", "--out", prefix])
     with open(prefix + ".records.jsonl") as fh:
         line = json.loads(fh.readline())
     model = MorphismModel.from_json(line["model"])
     assert json.dumps(model.to_json(), sort_keys=True) == json.dumps(line["model"], sort_keys=True)
+
+
+def _h1_record_line() -> dict:
+    """The census line of the second H=1 model, [X^2+XY+Y^2 : X^2+XY-Y^2], which has a local entry at 2."""
+    from dynres import SearchBudget, enumerate_models
+    from dynres.census import CensusConfig, compute_record, record_key
+
+    config = CensusConfig(n=1, d=2, coeff_bound=1, B=8, budget=SearchBudget(4, 2, 2), output_prefix="unused")
+    model = next(itertools.islice(enumerate_models(1, 2, 1), 1, None))
+    line = compute_record(config, model, record_key(model)).to_json()
+    assert line["local"] and line["minimal_resultant"]
+    return line
 
 
 def test_report_rejects_malformed_records(tmp_path, capsys):
@@ -193,9 +206,41 @@ def test_report_rejects_malformed_records(tmp_path, capsys):
     not_json.write_text("{not json\n")
     not_record = tmp_path / "not_record.records.jsonl"
     not_record.write_text(json.dumps({"key": "x"}) + "\n")
-    for path, error in ((missing, "schema-violation"), (not_json, "malformed-json"), (not_record, "schema-violation")):
+    cases = [(missing, "schema-violation"), (not_json, "malformed-json"), (not_record, "schema-violation")]
+    # mistyped fields are refused, not coerced: 9.9 is not read as 9, nor "no" as true
+    good = _h1_record_line()
+    mistyped = {
+        "float_norm": {"norm": 9.9},
+        "bool_norm": {"norm": True},
+        "string_certified": {"fully_certified": "no"},
+        "string_in_gamma": {"in_gamma": "yes"},
+        "float_eps": {"local": [{**good["local"][0], "eps": 0.5}]},
+        "float_exponent": {"minimal_resultant": {"2": 1.7}},
+        # summarize_records looks classes up by key, which must be the model's
+        "foreign_key": {"key": "1|2|1,1,1,1,1,1"},
+        # a line from a census of another shape, which stores no sigma
+        "null_sigma": {"sigma": None},
+    }
+    for name, fields in mistyped.items():
+        path = tmp_path / f"{name}.records.jsonl"
+        path.write_text(json.dumps({**good, **fields}) + "\n")
+        cases.append((path, "schema-violation"))
+    for path, error in cases:
         code, out = _run(capsys, ["report", "--records", str(path), "--B", "2"])
         assert code == 2
         payload = json.loads(out)
         assert payload["error"] == error
         assert str(path) in payload["message"]
+
+    path = tmp_path / "good.records.jsonl"
+    path.write_text(json.dumps(good) + "\n")
+    code, out = _run(capsys, ["report", "--records", str(path), "--B", "2"])
+    assert code == 0
+
+
+def test_census_refuses_other_shapes(tmp_path, capsys):
+    prefix = str(tmp_path / "cubic")
+    code, out = _run(capsys, ["census", "--n", "1", "--d", "3", "--H", "1", "--B", "2", "--out", prefix])
+    assert code == 2
+    assert json.loads(out)["error"] == "invalid-argument"
+    assert not (tmp_path / "cubic.records.jsonl").exists()
