@@ -35,16 +35,9 @@ from .errors import (
     MalformedJsonError,
     SchemaError,
 )
-from .exact_arithmetic import (
-    FactoredIdeal,
-    int_from_string,
-    json_typed,
-    primitive_integers,
-    rational_from_string,
-    rational_to_string,
-)
-from .moduli_invariants import moduli_height
-from .morphism_space import MorphismModel, monomials
+from .exact_arithmetic import primitive_integers, rational_from_string, rational_to_string
+from .moduli_invariants import ModuliPoint, moduli_height
+from .morphism_space import MorphismModel, monomials, normalize_primitive
 from .reduction_theory import LocalExponent, ReductionReport, SearchBudget, reduction_report, s_b_primes
 from .resultants import macaulay_resultant
 
@@ -108,65 +101,72 @@ class CensusConfig:
 
 @dataclass(frozen=True, slots=True)
 class CensusRecord:
+    """One census line: a model's reduction report, its moduli point and its Gamma_B membership.
+
+    Each fact is stored once.  The line also writes what follows from them
+    (the norm and its certification, the moduli point and heights), and
+    ``from_json`` reads back only a line that ``to_json`` would write.
+    """
+
     key: str
-    model: MorphismModel
-    res: Fraction
-    local: tuple[LocalExponent, ...]
-    minimal_resultant: FactoredIdeal
-    norm: int
-    norm_lower_bound: int
-    fully_certified: bool
-    sigma: tuple[Fraction, Fraction]
-    moduli_point: tuple[int, int, int]
-    mult_height: int
-    moduli_height: float
+    report: ReductionReport
+    moduli: ModuliPoint
     in_gamma: bool
 
+    @property
+    def model(self) -> MorphismModel:
+        return self.report.morphism
+
+    @property
+    def sigma(self) -> tuple[Fraction, Fraction]:
+        return self.moduli.sigma
+
+    @property
+    def norm(self) -> int:
+        return self.report.norm
+
+    @property
+    def mult_height(self) -> int:
+        return self.moduli.mult_height
+
     def bad_primes(self) -> tuple[int, ...]:
-        return self.minimal_resultant.primes()
+        return self.report.bad_primes()
 
     def to_json(self) -> dict:
         return {
+            **self.report.to_json(),
             "key": self.key,
             "model": self.model.to_json(),
-            "res": rational_to_string(self.res),
-            "local": [e.to_json() for e in self.local],
-            "minimal_resultant": self.minimal_resultant.to_json(),
-            "norm": str(self.norm),
-            "norm_is_upper_bound": not self.fully_certified,
-            "norm_lower_bound": str(self.norm_lower_bound),
-            "fully_certified": self.fully_certified,
+            "norm_is_upper_bound": not self.report.fully_certified,
+            "norm_lower_bound": str(self.report.certified_norm_lower_bound()),
             "sigma": [rational_to_string(s) for s in self.sigma],
-            "moduli_point": [str(x) for x in self.moduli_point],
+            "moduli_point": [str(x) for x in self.moduli.point],
             "mult_height": str(self.mult_height),
-            "moduli_height": float(f"{self.moduli_height:.12g}"),
+            "moduli_height": float(f"{self.moduli.height:.12g}"),
             "in_gamma": self.in_gamma,
             "class_id": None,
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "CensusRecord":
-        """The record ``to_json`` wrote; any other type or shape is a SchemaError."""
-        model = MorphismModel.from_json(data["model"])
-        if data["key"] != record_key(model):
-            raise SchemaError(f"key {data['key']!r} is not the key {record_key(model)!r} of the record's model")
+        """The record rebuilt from the line's model, res, local, sigma and in_gamma.
+
+        Raises SchemaError unless the census writes exactly this line for them:
+        a derived field that disagrees, a key it does not write or a value in
+        another spelling or JSON type is refused.
+        """
+        model = normalize_primitive(MorphismModel.from_json(data["model"]))
+        local = tuple(LocalExponent.from_json(e) for e in data["local"])
+        report = ReductionReport(model, rational_from_string(data["res"]), local)
         s1, s2 = data["sigma"]
-        x, y, z = data["moduli_point"]
-        return cls(
-            key=data["key"],
-            model=model,
-            res=rational_from_string(data["res"]),
-            local=tuple(LocalExponent.from_json(e) for e in data["local"]),
-            minimal_resultant=FactoredIdeal.from_json(data["minimal_resultant"]),
-            norm=int_from_string(data["norm"]),
-            norm_lower_bound=int_from_string(data["norm_lower_bound"]),
-            fully_certified=json_typed(data["fully_certified"], bool),
-            sigma=(rational_from_string(s1), rational_from_string(s2)),
-            moduli_point=(int_from_string(x), int_from_string(y), int_from_string(z)),
-            mult_height=int_from_string(data["mult_height"]),
-            moduli_height=json_typed(data["moduli_height"], float),
-            in_gamma=json_typed(data["in_gamma"], bool),
-        )
+        moduli = ModuliPoint.from_sigma((rational_from_string(s1), rational_from_string(s2)))
+        record = cls(record_key(model), report, moduli, bool(data["in_gamma"]))
+        written = record.to_json()
+        if _canonical(written) != _canonical(data):
+            keys = sorted(written.keys() | data.keys())
+            differ = [k for k in keys if _canonical(written.get(k)) != _canonical(data.get(k))]
+            raise SchemaError(f"{', '.join(differ)}: not what the census writes for this model, res, local and sigma")
+        return record
 
 
 def record_key(model: MorphismModel) -> str:
@@ -174,8 +174,12 @@ def record_key(model: MorphismModel) -> str:
     return f"{model.n}|{model.d}|{coeffs}"
 
 
+def _canonical(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def _record_line(record: CensusRecord) -> str:
-    return json.dumps(record.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
+    return _canonical(record.to_json()) + "\n"
 
 
 def enumerate_models(n: int, d: int, coeff_bound: int):
@@ -204,48 +208,34 @@ def enumerate_models(n: int, d: int, coeff_bound: int):
 
 
 def compute_record(config: CensusConfig, model: MorphismModel, key: str) -> CensusRecord:
-    rep: ReductionReport = reduction_report(model, config.budget)
-    mp = moduli_height(model)
-    in_gamma = rep.norm <= config.B and mp.mult_height <= config.B
-    record = CensusRecord(
-        key=key,
-        model=rep.morphism,
-        res=rep.res,
-        local=rep.local,
-        minimal_resultant=rep.minimal_resultant,
-        norm=rep.norm,
-        norm_lower_bound=rep.certified_norm_lower_bound(),
-        fully_certified=rep.fully_certified,
-        sigma=mp.sigma,
-        moduli_point=mp.point,
-        mult_height=mp.mult_height,
-        moduli_height=mp.height,
-        in_gamma=in_gamma,
-    )
-    if in_gamma and not set(record.bad_primes()).issubset(s_b_primes(config.B)):
+    report = reduction_report(model, config.budget)
+    moduli = moduli_height(model)
+    record = CensusRecord(key, report, moduli, report.norm <= config.B and moduli.mult_height <= config.B)
+    if record.in_gamma and not set(record.bad_primes()).issubset(s_b_primes(config.B)):
         raise CensusAssertionError(f"record {key} has a bad prime outside S_B", record)
     return record
 
 
 def _recover_prefix(path: Path) -> list[str]:
-    """Keys of the valid complete record lines; truncates any partial tail."""
+    """Keys of the record lines; truncates a last line that has no newline.
+
+    A kill mid-write can leave only that.  Any complete line that is not a
+    JSON object with a key, a blank one included, raises CensusAssertionError
+    and leaves the file as it is.
+    """
     if not path.exists():
         return []
     raw = path.read_bytes()
+    complete = raw[: raw.rfind(b"\n") + 1]
     keys = []
-    valid_end = 0
-    for line in raw.splitlines(keepends=True):
-        if not line.endswith(b"\n"):
-            break
+    for number, line in enumerate(complete.split(b"\n")[:-1], 1):
         try:
-            obj = json.loads(line)
-            keys.append(obj["key"])
-        except (ValueError, KeyError, TypeError):
-            break
-        valid_end += len(line)
-    if valid_end != len(raw):
+            keys.append(json.loads(line)["key"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CensusAssertionError(f"{path} line {number} is not a census record: {line[:80]!r}") from exc
+    if len(complete) != len(raw):
         with open(path, "r+b") as fh:
-            fh.truncate(valid_end)
+            fh.truncate(len(complete))
     return keys
 
 
@@ -278,11 +268,12 @@ def stream_records(config: CensusConfig, limit: int | None = None) -> int:
 
     Enumeration order is deterministic, so an existing file must be a prefix
     of the full stream written under the same settings (checked against
-    ``PREFIX.config.json``); a corrupt tail (e.g. from a kill mid-write) is
-    truncated, and every stored key is checked against the enumeration before
-    any new record is computed.  The rest is appended in batches of
-    8 * threads records, each flushed before the next starts, so a kill loses
-    at most the batch in flight.  Returns the number of records now persisted.
+    ``PREFIX.config.json``); a last line without its newline (from a kill
+    mid-write) is truncated, any other unreadable line is an error, and every
+    stored key is checked against the enumeration before any new record is
+    computed.  The rest is appended in batches of 8 * threads records, each
+    flushed before the next starts, so a kill loses at most the batch in
+    flight.  Returns the number of records now persisted.
     ``limit`` bounds how many new records are written (test hook for
     interruption).
     """
@@ -324,15 +315,13 @@ def load_records(path) -> list[CensusRecord]:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     with fh:
         for number, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
             try:
                 data = json.loads(line)
             except ValueError as exc:
                 raise MalformedJsonError(f"{path} line {number} is not valid JSON: {exc}") from exc
             try:
                 records.append(CensusRecord.from_json(data))
-            except (AttributeError, KeyError, TypeError, ValueError, DynresError) as exc:
+            except (ArithmeticError, AttributeError, KeyError, TypeError, ValueError, DynresError) as exc:
                 raise SchemaError(f"{path} line {number} is not a census record: {exc!r}") from exc
     return records
 
@@ -396,7 +385,9 @@ def summarize_records(records: list[CensusRecord], B: int, budget: SearchBudget,
         entry = {
             "B": b,
             "gamma_definite": len(members_b),
-            "gamma_possible_extra": sum(r.norm > b >= r.norm_lower_bound and r.mult_height <= b for r in records),
+            "gamma_possible_extra": sum(
+                r.norm > b >= r.report.certified_norm_lower_bound() and r.mult_height <= b for r in records
+            ),
             "sb_primes": s_b_primes(b),
             "sb_check": "pass",
             "class_count_lower": len({r.sigma for r in members_b}),
@@ -411,7 +402,7 @@ def summarize_records(records: list[CensusRecord], B: int, budget: SearchBudget,
     # the monic polynomial maps z^2 + bz + c: [X^2 + bXY + cY^2 : Y^2]
     monic = [r for r in records if r.model.forms[1].coeffs == (0, 0, 1) and r.model.forms[0].coeffs[0] == 1]
     for r in monic:
-        if r.norm != 1 or not r.fully_certified:
+        if r.norm != 1 or not r.report.fully_certified:
             raise CensusAssertionError(f"monic record {r.key} lacks unit minimal resultant", r)
 
     return CensusSummary(

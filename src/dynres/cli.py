@@ -102,16 +102,7 @@ def _cmd_resultant(args) -> int:
 
 def _cmd_reduce(args) -> int:
     model = _read_morphism(args.morphism)
-    report = reduction_report(model, _parse_budget(args.budget, model.d))
-    _emit(
-        {
-            "res": rational_to_string(report.res),
-            "local": [e.to_json() for e in report.local],
-            "minimal_resultant": report.minimal_resultant.to_json(),
-            "norm": str(report.norm),
-            "fully_certified": report.fully_certified,
-        }
-    )
+    _emit(reduction_report(model, _parse_budget(args.budget, model.d)).to_json())
     return 0
 
 

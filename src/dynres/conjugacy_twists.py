@@ -44,7 +44,10 @@ class TwistBucket:
 
     qbar_class_key: tuple[Fraction, Fraction]
     classes: tuple[tuple[MorphismModel, ...], ...]
-    unknown_pairs: tuple[tuple[int, int], ...]
+
+    @property
+    def unknown_pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(itertools.combinations(range(len(self.classes)), 2))
 
 
 def quadratic_twist_model(b) -> MorphismModel:
@@ -133,9 +136,4 @@ def bucket_twists(models, budget: SearchBudget, sigmas=None) -> list[TwistBucket
             merged.append(model)
             for i in reversed(hits[1:]):
                 merged.extend(classes.pop(i))
-    buckets = []
-    for key in sorted(groups):
-        classes = tuple(tuple(cls) for cls in groups[key])
-        unknown = tuple((i, j) for i in range(len(classes)) for j in range(i + 1, len(classes)))
-        buckets.append(TwistBucket(key, classes, unknown))
-    return buckets
+    return [TwistBucket(key, tuple(tuple(cls) for cls in groups[key])) for key in sorted(groups)]

@@ -8,11 +8,10 @@ in factored form.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidArgumentError, SchemaError, UnfactoredResidueError
+from .errors import InvalidArgumentError, UnfactoredResidueError
 
 TRIAL_BOUND = 10**6
 
@@ -139,10 +138,6 @@ class FactoredIdeal:
     def to_json(self) -> dict[str, int]:
         return {str(p): e for p, e in self.factors}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "FactoredIdeal":
-        return cls.from_map({int_from_string(p): json_typed(e, int) for p, e in data.items()})
-
 
 def ideal_norm(ideal: FactoredIdeal) -> int:
     """Product of p**e over the factors; 1 for the unit ideal."""
@@ -250,20 +245,6 @@ def is_perfect_square(n: int) -> bool:
         return False
     r = math.isqrt(n)
     return r * r == n
-
-
-def int_from_string(value) -> int:
-    """An integer read back from the decimal string ``str(n)`` writes; anything else is a SchemaError."""
-    if not (isinstance(value, str) and re.fullmatch(r"-?(0|[1-9][0-9]*)", value)):
-        raise SchemaError(f"expected a decimal integer string, got {value!r}")
-    return int(value)
-
-
-def json_typed(value, kind: type):
-    """``value`` if json.loads gave it exactly the type ``kind``: true is not an int, nor is 1.7."""
-    if type(value) is not kind:
-        raise SchemaError(f"expected a JSON {kind.__name__}, got {value!r}")
-    return value
 
 
 def rational_to_string(x) -> str:

@@ -42,18 +42,16 @@ COEFFICIENT_PROXY = "coefficient_proxy"
 
 @dataclass(frozen=True, slots=True)
 class MultiplierSpectrum:
-    """Power sums and elementary symmetric functions of the fixed-point multipliers.
+    """Power sums of the fixed-point multipliers.
 
-    The two lists determine each other through Newton's identities, which the
-    constructor re-checks.
+    The elementary symmetric functions follow from them by Newton's identities.
     """
 
     power_sums: tuple[Fraction, ...]
-    elementary_symmetric: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        if tuple(power_sums_to_elementary(self.power_sums)) != self.elementary_symmetric:
-            raise InvalidArgumentError("power sums and elementary symmetric functions disagree")
+    @property
+    def elementary_symmetric(self) -> tuple[Fraction, ...]:
+        return tuple(power_sums_to_elementary(self.power_sums))
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,7 +61,8 @@ class ModuliPoint:
     mult_height is the multiplicative height (max |coordinate| of the coprime
     integer point for sigma kind, max |coefficient| of the primitive model for
     the proxy kind); height = log(mult_height).  The proxy kind is
-    model-dependent, not class-invariant.
+    model-dependent, not class-invariant.  A sigma kind point is built only by
+    ``from_sigma``, so a census record read back from its sigma gets the same.
     """
 
     kind: str
@@ -71,6 +70,14 @@ class ModuliPoint:
     point: tuple[int, int, int] | None
     mult_height: int
     height: float
+
+    @classmethod
+    def from_sigma(cls, sigma: tuple[Fraction, Fraction]) -> "ModuliPoint":
+        """The point [sigma_1 : sigma_2 : 1] of M_2 as coprime integers (x, y, z), z > 0, and its height."""
+        s1, s2 = sigma
+        z, x, y = primitive_integers((1, s1, s2))
+        h = max(abs(x), abs(y), z)
+        return cls(SIGMA_INVARIANTS, (s1, s2), (x, y, z), h, math.log(h))
 
 
 def _fixed_point_coeffs(model: MorphismModel) -> list:
@@ -255,9 +262,8 @@ def multiplier_power_sums(model: MorphismModel, k: int) -> list[Fraction]:
 
 
 def multiplier_spectrum(model: MorphismModel) -> MultiplierSpectrum:
-    """Spectrum of all d+1 fixed-point multipliers in both encodings."""
-    psums = multiplier_power_sums(model, model.d + 1)
-    return MultiplierSpectrum(tuple(psums), tuple(power_sums_to_elementary(psums)))
+    """Power sums of all d+1 fixed-point multipliers."""
+    return MultiplierSpectrum(tuple(multiplier_power_sums(model, model.d + 1)))
 
 
 def sigma_invariants(model: MorphismModel) -> tuple[Fraction, Fraction]:
@@ -277,10 +283,7 @@ def moduli_height(model: MorphismModel) -> ModuliPoint:
     """Height of the class point: exact for (1, 2), coefficient proxy otherwise."""
     if (model.n, model.d) == (1, 2):
         # multiplier_power_sums rejects a non-morphism by its fixed points
-        s1, s2 = sigma_invariants(model)
-        z, x, y = primitive_integers((1, s1, s2))
-        h = max(abs(x), abs(y), z)
-        return ModuliPoint(SIGMA_INVARIANTS, (s1, s2), (x, y, z), h, math.log(h))
+        return ModuliPoint.from_sigma(sigma_invariants(model))
     nonzero_resultant(model)
     h = max_abs_coefficient(model)
     return ModuliPoint(COEFFICIENT_PROXY, None, None, h, math.log(h))

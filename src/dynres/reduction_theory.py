@@ -34,15 +34,7 @@ from fractions import Fraction
 
 from . import _matrix
 from .errors import InvalidArgumentError
-from .exact_arithmetic import (
-    FactoredIdeal,
-    _ord_int,
-    factor_integer,
-    int_from_string,
-    json_typed,
-    primes_up_to,
-    valuation,
-)
+from .exact_arithmetic import FactoredIdeal, _ord_int, factor_integer, primes_up_to, rational_to_string, valuation
 from .morphism_space import (
     MorphismModel,
     conjugate_integer_rows,
@@ -100,18 +92,33 @@ class LocalExponent:
 
     @classmethod
     def from_json(cls, data: dict) -> "LocalExponent":
-        p, e, eps = int_from_string(data["p"]), json_typed(data["e"], int), json_typed(data["eps"], int)
-        return cls(p, e, eps, json_typed(data["certified"], bool))
+        """Coerces each field, so re-emitting the entry shows any spelling ``to_json`` does not write."""
+        return cls(int(data["p"]), int(data["e"]), int(data["eps"]), bool(data["certified"]))
 
 
 @dataclass(frozen=True, slots=True)
 class ReductionReport:
+    """The primitive model, its resultant and one LocalExponent per prime dividing it.
+
+    Everything else is read off ``local``: the minimal resultant ideal is the
+    product of p^eps, and its norm is certified when every entry is.
+    """
+
     morphism: MorphismModel
     res: Fraction
     local: tuple[LocalExponent, ...]
-    minimal_resultant: FactoredIdeal
-    norm: int
-    fully_certified: bool
+
+    @property
+    def minimal_resultant(self) -> FactoredIdeal:
+        return FactoredIdeal(tuple((e.p, e.eps_estimate) for e in self.local if e.eps_estimate))
+
+    @property
+    def norm(self) -> int:
+        return self.minimal_resultant.norm()
+
+    @property
+    def fully_certified(self) -> bool:
+        return all(entry.certified for entry in self.local)
 
     def bad_primes(self) -> tuple[int, ...]:
         return self.minimal_resultant.primes()
@@ -123,6 +130,16 @@ class ReductionReport:
             if entry.certified:
                 n *= entry.p**entry.eps_estimate
         return n
+
+    def to_json(self) -> dict:
+        """The ``reduce`` output."""
+        return {
+            "res": rational_to_string(self.res),
+            "local": [e.to_json() for e in self.local],
+            "minimal_resultant": self.minimal_resultant.to_json(),
+            "norm": str(self.norm),
+            "fully_certified": self.fully_certified,
+        }
 
 
 def local_exponent(model: MorphismModel, p: int) -> int:
@@ -221,22 +238,8 @@ def reduction_report(model: MorphismModel, budget: SearchBudget) -> ReductionRep
     prim = normalize_primitive(model)
     res = nonzero_resultant(prim)
     factors = factor_integer(abs(int(res)))
-    local = []
-    estimate: dict[int, int] = {}
-    for p in sorted(factors):
-        entry = _minimize(prim, p, factors[p], budget)
-        local.append(entry)
-        if entry.eps_estimate > 0:
-            estimate[p] = entry.eps_estimate
-    ideal = FactoredIdeal.from_map(estimate)
-    return ReductionReport(
-        morphism=prim,
-        res=res,
-        local=tuple(local),
-        minimal_resultant=ideal,
-        norm=ideal.norm(),
-        fully_certified=all(entry.certified for entry in local),
-    )
+    local = tuple(_minimize(prim, p, factors[p], budget) for p in sorted(factors))
+    return ReductionReport(morphism=prim, res=res, local=local)
 
 
 def has_good_reduction(model: MorphismModel, p: int, budget: SearchBudget) -> str:

@@ -179,3 +179,21 @@ def test_census_workload_shape_is_accepted():
     budget = SearchBudget(*wl["BUDGET"])
     config = CensusConfig(n=wl["N"], d=wl["D"], coeff_bound=wl["H"], B=wl["B"], budget=budget, output_prefix="census")
     assert (config.n, config.d) == (1, 2)
+
+
+def test_census_record_attributes_resolve(tmp_path):
+    # the census workload checks each loaded record by attribute, looked up only while it runs
+    from dynres import CensusConfig, SearchBudget, load_records, stream_records
+
+    tree = ast.parse((PERFBENCH / "wl_census.py").read_text(encoding="utf-8"))
+    attrs = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "record"
+    }
+    assert {"key", "model", "sigma", "in_gamma", "bad_primes"} <= attrs
+    config = CensusConfig(n=1, d=2, coeff_bound=1, B=8, budget=SearchBudget(4, 2, 2), output_prefix=str(tmp_path / "c"))
+    stream_records(config, limit=2)
+    record = load_records(config.records_path)[1]
+    for attr in sorted(attrs):
+        assert hasattr(record, attr), f"perfbench/wl_census.py reads record.{attr}, which a CensusRecord does not have"

@@ -113,6 +113,26 @@ def test_resume_truncates_partial_tail(tmp_path):
     assert broken.records_path.read_bytes() == reference
 
 
+def test_resume_refuses_unreadable_complete_lines(tmp_path):
+    # only a last line without its newline can come from a kill; any other bad line stops the resume
+    config = _config(tmp_path, "garbled")
+    stream_records(config, limit=20)
+    lines = config.records_path.read_bytes().splitlines(keepends=True)
+    for number, bad in ((4, b'{"garbage\n'), (20, b"\n"), (1, b'["key"]\n')):
+        garbled = b"".join(lines[: number - 1] + [bad] + lines[number:])
+        config.records_path.write_bytes(garbled)
+        with pytest.raises(CensusAssertionError) as excinfo:
+            stream_records(config, limit=0)
+        assert f"line {number} is not a census record" in str(excinfo.value)
+        assert config.records_path.read_bytes() == garbled
+    # the same bad line ahead of a torn tail: the file is still left as it is
+    garbled = b"".join(lines[:3] + [b"{\n"] + lines[4:]) + b'{"key": "1|2|torn'
+    config.records_path.write_bytes(garbled)
+    with pytest.raises(CensusAssertionError):
+        stream_records(config, limit=0)
+    assert config.records_path.read_bytes() == garbled
+
+
 def test_resume_rejects_foreign_records(tmp_path):
     # same settings and config file, but lines 3 and 4 are out of enumeration order
     foreign = _config(tmp_path, "foreign", coeff_bound=1)
@@ -246,12 +266,12 @@ def test_run_census_h1_summary(tmp_path):
     records = load_records(config.records_path)
     for record in records:
         if record.norm <= 1 and record.mult_height <= 1:
-            assert record.minimal_resultant.norm() == 1
+            assert record.report.minimal_resultant.norm() == 1
 
     # monic polynomial maps all carry the unit ideal, certified
     monic = [r for r in records if r.model.forms[1].coeffs == (0, 0, 1) and r.model.forms[0].coeffs[0] == 1]
     assert len(monic) == 9
-    assert all(r.norm == 1 and r.fully_certified for r in monic)
+    assert all(r.norm == 1 and r.report.fully_certified for r in monic)
 
 
 def test_empty_census_has_zero_classes(tmp_path, capsys):

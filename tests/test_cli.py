@@ -196,7 +196,8 @@ def _h1_record_line() -> dict:
     config = CensusConfig(n=1, d=2, coeff_bound=1, B=8, budget=SearchBudget(4, 2, 2), output_prefix="unused")
     model = next(itertools.islice(enumerate_models(1, 2, 1), 1, None))
     line = compute_record(config, model, record_key(model)).to_json()
-    assert line["local"] and line["minimal_resultant"]
+    assert line["local"] and line["minimal_resultant"] == {"2": 2} and line["res"] == "4"
+    assert line["sigma"] == ["3/2", "-5/4"] and not line["fully_certified"]
     return line
 
 
@@ -206,7 +207,15 @@ def test_report_rejects_malformed_records(tmp_path, capsys):
     not_json.write_text("{not json\n")
     not_record = tmp_path / "not_record.records.jsonl"
     not_record.write_text(json.dumps({"key": "x"}) + "\n")
-    cases = [(missing, "schema-violation"), (not_json, "malformed-json"), (not_record, "schema-violation")]
+    # the census writes no blank line, so a blank line is not skipped
+    blank = tmp_path / "blank.records.jsonl"
+    blank.write_text("\n")
+    cases = [
+        (missing, "schema-violation"),
+        (not_json, "malformed-json"),
+        (not_record, "schema-violation"),
+        (blank, "malformed-json"),
+    ]
     # mistyped fields are refused, not coerced: 9.9 is not read as 9, nor "no" as true
     good = _h1_record_line()
     mistyped = {
@@ -215,11 +224,24 @@ def test_report_rejects_malformed_records(tmp_path, capsys):
         "string_certified": {"fully_certified": "no"},
         "string_in_gamma": {"in_gamma": "yes"},
         "float_eps": {"local": [{**good["local"][0], "eps": 0.5}]},
+        "infinite_eps": {"local": [{**good["local"][0], "eps": float("inf")}]},
         "float_exponent": {"minimal_resultant": {"2": 1.7}},
         # summarize_records looks classes up by key, which must be the model's
         "foreign_key": {"key": "1|2|1,1,1,1,1,1"},
         # a line from a census of another shape, which stores no sigma
         "null_sigma": {"sigma": None},
+        # a field the census derives from model, res, local and sigma must be the one it derives
+        "norm_not_of_ideal": {"norm": "1"},
+        "mult_height_not_of_point": {"mult_height": "1"},
+        "certified_with_uncertified_local": {"fully_certified": True},
+        "not_upper_bound": {"norm_is_upper_bound": False},
+        "empty_ideal": {"minimal_resultant": {}},
+        "class_id": {"class_id": "C0001"},
+        "extra_key": {"extra": 1},
+        "decimal_res": {"res": "4.0"},
+        "padded_sigma": {"sigma": [" 3/2", "-5/4"]},
+        "moved_height": {"moduli_height": good["moduli_height"] + 1e-6},
+        "raised_lower_bound": {"norm_lower_bound": "2"},
     }
     for name, fields in mistyped.items():
         path = tmp_path / f"{name}.records.jsonl"
@@ -231,6 +253,7 @@ def test_report_rejects_malformed_records(tmp_path, capsys):
         payload = json.loads(out)
         assert payload["error"] == error
         assert str(path) in payload["message"]
+        assert path == missing or " line 1 " in payload["message"]
 
     path = tmp_path / "good.records.jsonl"
     path.write_text(json.dumps(good) + "\n")

@@ -116,8 +116,8 @@ def test_multiplier_spectrum_type(rng):
     spec = multiplier_spectrum(z_squared())
     assert spec.power_sums == (2, 4, 8)
     assert spec.elementary_symmetric == (2, 0, 0)
-    with pytest.raises(InvalidArgumentError):
-        MultiplierSpectrum((Fraction(1), Fraction(2)), (Fraction(1), Fraction(5)))
+    # the elementary symmetric functions are derived: e1 = p1, e2 = (e1 p1 - p2) / 2
+    assert MultiplierSpectrum((Fraction(1), Fraction(2))).elementary_symmetric == (1, Fraction(-1, 2))
     for _ in range(5):
         m = random_morphism(rng, 1, 2)
         spec = multiplier_spectrum(m)
