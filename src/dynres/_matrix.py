@@ -142,7 +142,7 @@ def det_mod_p(matrix: list[list[int]], p: int) -> int:
             det = -det
         pivot = m[k][k]
         det = det * pivot % p
-        inv = pow(pivot, p - 2, p)
+        inv = pow(pivot, -1, p)
         for i in range(k + 1, n):
             lead = m[i][k]
             if lead == 0:
@@ -175,7 +175,7 @@ def det_modular_crt_int(matrix: list[list[int]]) -> int:
         if modulus == 1:
             residue, modulus = r, p
         else:
-            inv = pow(modulus % p, p - 2, p)
+            inv = pow(modulus % p, -1, p)
             t = (r - residue) * inv % p
             residue += modulus * t
             modulus *= p

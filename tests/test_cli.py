@@ -1,6 +1,8 @@
 import itertools
 import json
 
+import pytest
+
 from conftest import bq, twist, z_squared
 from dynres.cli import main
 
@@ -188,14 +190,19 @@ def test_round_trip_through_cli(tmp_path, capsys):
     assert json.dumps(model.to_json(), sort_keys=True) == json.dumps(line["model"], sort_keys=True)
 
 
-def _h1_record_line() -> dict:
-    """The census line of the second H=1 model, [X^2+XY+Y^2 : X^2+XY-Y^2], which has a local entry at 2."""
+def _h1_line(index: int) -> dict:
+    """The census line of the H=1 model at this index of the enumeration."""
     from dynres import SearchBudget, enumerate_models
     from dynres.census import CensusConfig, compute_record, record_key
 
     config = CensusConfig(n=1, d=2, coeff_bound=1, B=8, budget=SearchBudget(4, 2, 2), output_prefix="unused")
-    model = next(itertools.islice(enumerate_models(1, 2, 1), 1, None))
-    line = compute_record(config, model, record_key(model)).to_json()
+    model = next(itertools.islice(enumerate_models(1, 2, 1), index, None))
+    return compute_record(config, model, record_key(model)).to_json()
+
+
+def _h1_record_line() -> dict:
+    """The census line of the second H=1 model, [X^2+XY+Y^2 : X^2+XY-Y^2], which has a local entry at 2."""
+    line = _h1_line(1)
     assert line["local"] and line["minimal_resultant"] == {"2": 2} and line["res"] == "4"
     assert line["sigma"] == ["3/2", "-5/4"] and not line["fully_certified"]
     return line
@@ -259,6 +266,27 @@ def test_report_rejects_malformed_records(tmp_path, capsys):
     path.write_text(json.dumps(good) + "\n")
     code, out = _run(capsys, ["report", "--records", str(path), "--B", "2"])
     assert code == 0
+
+
+@pytest.mark.parametrize("probe", ["res_8_with_e_3", "local_entry_at_4", "sigma_of_another_record"])
+def test_report_rejects_res_local_or_sigma_not_of_the_model(tmp_path, capsys, probe):
+    # res, local and sigma are checked against the model: the model's resultant is 4 = 2^2
+    good, other = _h1_record_line(), _h1_line(0)
+    assert other["sigma"] != good["sigma"]
+    fields = {
+        "res_8_with_e_3": {"res": "8", "local": [{**good["local"][0], "e": 3}]},
+        "local_entry_at_4": {"local": good["local"] + [{"p": "4", "e": 1, "eps": 0, "certified": True}]},
+        # the first record's sigma, with the point and heights derived from it
+        "sigma_of_another_record": {k: other[k] for k in ("sigma", "moduli_point", "mult_height", "moduli_height")},
+    }[probe]
+    path = tmp_path / f"{probe}.records.jsonl"
+    path.write_text(json.dumps({**good, **fields}) + "\n")
+    code, out = _run(capsys, ["report", "--records", str(path), "--B", "2"])
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["error"] == "schema-violation"
+    assert " line 1 " in payload["message"]
+    assert ("sigma" if probe == "sigma_of_another_record" else "local") in payload["message"]
 
 
 def test_census_refuses_other_shapes(tmp_path, capsys):

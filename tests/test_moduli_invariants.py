@@ -23,6 +23,7 @@ from dynres import (
 )
 from dynres._matrix import identity, mat_inverse, mat_mul
 from dynres.moduli_invariants import (
+    _SIGMA_TERMS,
     _affine_multiplier,
     _poly_deriv,
     _poly_mul,
@@ -347,3 +348,77 @@ def test_fixed_point_morphism_test_matches_resultant(rng):
                 assert str(info.value) == "resultant vanishes; not a morphism"
             else:
                 assert len(multiplier_power_sums(m, k)) == k
+
+
+# --- quadratic sigma as P_i / Res against the power-sum route -----------------
+
+
+def test_sigma_numerators_expand_the_multiplier_polynomial():
+    # prod (t - lambda_j) = Res_z(f, (t - 1) p1 - f') / Res_z(f, p1) for f = p0 - z p1,
+    # and Res_z(f, p1) = b0 Res: the numerators must make Res t^3 - P1 t^2 + P2 t - P3 that ratio
+    v = sympy.symbols("a0 a1 a2 b0 b1 b2")
+    a0, a1, a2, b0, b1, b2 = v
+    z, t = sympy.symbols("z t")
+    assert [len(terms) for terms in _SIGMA_TERMS] == [14, 19, 14]
+    P1, P2, P3 = (sum(c * v[i] * v[j] * v[k] * v[l] for c, i, j, k, l in terms) for terms in _SIGMA_TERMS)
+    p0, p1 = a0 * z**2 + a1 * z + a2, b0 * z**2 + b1 * z + b2
+    f = sympy.expand(p0 - z * p1)
+    res = sympy.resultant(p0, p1, z)
+    assert sympy.expand(sympy.resultant(f, p1, z) - b0 * res) == 0
+    numerator = sympy.resultant(f, sympy.expand((t - 1) * p1 - sympy.diff(f, z)), z)
+    assert sympy.expand(numerator - b0 * (res * t**3 - P1 * t**2 + P2 * t - P3)) == 0
+    # the symbolic resultant is the one dynres computes, sign included
+    for model in (z_squared(), bq(2, 1, -1, 1, 3, 1), twist(3)):
+        values = dict(zip(v, (int(c) for c in model.all_coeffs())))
+        assert res.subs(values) == macaulay_resultant(model).value
+
+
+def _sigma_by_power_sums(model):
+    return tuple(power_sums_to_elementary(multiplier_power_sums(model, 3)))
+
+
+def test_quadratic_sigma_matches_power_sums(rng):
+    box = [bq(*c) for c in itertools.product((-1, 0, 1), repeat=6) if any(c)]
+    box = [m for m in box if macaulay_resultant(m).value != 0]
+    rationals = []
+    while len(rationals) < 60:
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(6)]
+        if len(rationals) % 3 == 0:
+            coeffs[3] = Fraction(0)  # [1:0] is fixed
+        m = bq(*coeffs)
+        if any(coeffs) and macaulay_resultant(m).value != 0:
+            rationals.append(m)
+    # z^2 + 1/4 has the double fixed point 1/2 and fixes infinity; z + b/z fixes only
+    # infinity, three times; the conjugates move the multiple fixed point off infinity
+    multiple = [bq(1, 0, Fraction(1, 4), 0, 0, 1), twist(2), twist(Fraction(-1, 3))]
+    multiple += [conjugate(m, LinearMap.from_rows([[1, 0], [1, 1]])) for m in multiple]
+    assert sum(m.forms[1].coeffs[0] == 0 for m in box + rationals) >= 100
+    for m in box + rationals + multiple:
+        assert sigma_invariants_full(m) == _sigma_by_power_sums(m)
+        assert sigma_invariants_full(m.scale(Fraction(-3, 7))) == sigma_invariants_full(m)
+    assert sigma_invariants_full(multiple[0]) == (2, 1, 0)  # multipliers 1, 1, 0
+
+
+def test_quadratic_sigma_refuses_what_power_sums_refuse(rng):
+    # the d = 2 shapes of the three vanishing-resultant cases, and the whole H = 1 box
+    models = [bq(*c) for c in itertools.product((-1, 0, 1), repeat=6) if any(c)]
+    shaped = []
+    for _ in range(6):
+        L = [rng.randint(1, 3), rng.randint(-3, 3)]
+        shaped.append(binary(2, L + [0], [0] + L))  # (a) Fix = 0: phi = (X L, Y L)
+        rows = [[0, rng.randint(-3, 3), rng.randint(1, 3)] for _ in range(2)]
+        shaped.append(binary(2, *rows))  # (b) both forms vanish at [1:0]
+        g0, g1 = ([rng.randint(1, 3), rng.randint(-3, 3)] for _ in range(2))
+        r = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        shaped.append(binary(2, _times_linear(g0, r), _times_linear(g1, r)))  # (c) shared affine root
+    assert all(macaulay_resultant(m).value == 0 for m in shaped)
+    refused = 0
+    for m in models + shaped:
+        if macaulay_resultant(m).value != 0:
+            continue
+        refused += 1
+        for route in (sigma_invariants_full, _sigma_by_power_sums):
+            with pytest.raises(NotAMorphismError) as info:
+                route(m)
+            assert str(info.value) == "resultant vanishes; not a morphism"
+    assert refused > len(shaped)
