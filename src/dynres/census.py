@@ -36,7 +36,7 @@ from .errors import (
     SchemaError,
 )
 from .exact_arithmetic import factor_integer, primitive_integers, rational_to_string
-from .moduli_invariants import ModuliPoint, moduli_height
+from .moduli_invariants import ModuliPoint, _primitive_moduli_height
 from .morphism_space import MorphismModel, monomials, normalize_primitive
 from .reduction_theory import LocalExponent, ReductionReport, SearchBudget, reduction_report, s_b_primes
 from .resultants import macaulay_resultant, nonzero_resultant
@@ -162,7 +162,8 @@ class CensusRecord:
         local = tuple(LocalExponent.from_json(e) for e in data["local"])
         if [(e.p, e.e_model) for e in local] != sorted(factor_integer(res.numerator).items()):
             raise SchemaError(f"local: not the prime factorization of res = {rational_to_string(res)}")
-        record = cls(record_key(model), ReductionReport(model, res, local), moduli_height(model), bool(data["in_gamma"]))
+        moduli = _primitive_moduli_height(model, res)
+        record = cls(record_key(model), ReductionReport(model, res, local), moduli, bool(data["in_gamma"]))
         written = record.to_json()
         if _canonical(written) != _canonical(data):
             keys = sorted(written.keys() | data.keys())
@@ -211,7 +212,7 @@ def enumerate_models(n: int, d: int, coeff_bound: int):
 
 def compute_record(config: CensusConfig, model: MorphismModel, key: str) -> CensusRecord:
     report = reduction_report(model, config.budget)
-    moduli = moduli_height(model)
+    moduli = _primitive_moduli_height(report.morphism, report.res)
     record = CensusRecord(key, report, moduli, report.norm <= config.B and moduli.mult_height <= config.B)
     if record.in_gamma and not set(record.bad_primes()).issubset(s_b_primes(config.B)):
         raise CensusAssertionError(f"record {key} has a bad prime outside S_B", record)

@@ -5,6 +5,24 @@ witness matrix, a definite no comes from a separating conjugation invariant,
 and an exhausted search stays honestly unknown.  The family z + b/z supplies
 exactly solvable instances: two members are Q-isomorphic precisely when the
 ratio of their parameters is a rational square.
+
+Witnesses are searched among the candidates: the primitive, sign-normalized
+invertible integer matrices with entries up to the budget's matrix bound.
+conjugacy_test asks whether some candidate F sends psi to phi, i.e.
+conj(psi, F) = adj(F) * psi(F X) is a multiple of phi.  Twist bucketing asks
+the same question from the other side, and the answers agree:
+
+- adj F has the entries of F up to sign, so its primitive sign-normalized
+  form is again a candidate, and conjugating by -F gives the same point as F;
+- conj(conj(psi, F), adj F) = det(F)^(d+1) * psi, since F * adj F = det(F) * I.
+
+So some candidate sends psi to phi exactly when some candidate sends phi to
+psi.  bucket_twists therefore keeps, for each class, the orbit of its first
+member: the primitive keys of its conjugates by the candidates tried so far.
+A new model belongs to the class iff its own primitive key lies in that
+orbit, and the orbit grows one candidate at a time only while the key is
+missing.  Each class then costs at most one conjugation per candidate, not
+one search per new member.
 """
 
 from __future__ import annotations
@@ -109,31 +127,69 @@ def conjugacy_test(phi: MorphismModel, psi: MorphismModel, budget: SearchBudget)
     return ConjugacyVerdict(UNKNOWN)
 
 
+class _TwistClass:
+    """The members of one proven class, and its first member's witness orbit.
+
+    ``orbit`` holds the primitive keys of the first member and of its
+    conjugates by the first ``tried`` witness candidates.
+    """
+
+    __slots__ = ("members", "rows", "orbit", "tried")
+
+    def __init__(self, model: MorphismModel, key: tuple[int, ...]):
+        self.members = [model]
+        self.rows = [key[:3], key[3:]]
+        self.orbit = {key}
+        self.tried = 0
+
+    def reaches(self, key: tuple[int, ...], budget: SearchBudget) -> bool:
+        """True iff a candidate sends the first member to key; the orbit grows only until it does."""
+        if key in self.orbit:
+            return True
+        candidates = _witness_candidates(budget.matrix_bound)
+        while self.tried < len(candidates):
+            conj = conjugate_integer_rows(self.rows, 1, 2, candidates[self.tried])
+            self.tried += 1
+            image = primitive_integers(conj[0] + conj[1])
+            self.orbit.add(image)
+            if image == key:
+                return True
+        return False
+
+
 def bucket_twists(models, budget: SearchBudget, sigmas=None) -> list[TwistBucket]:
     """Group by exact sigma key, then partition each group by proven conjugacy.
 
     ``sigmas``, when given, holds each model's sigma_invariants in the order
     of ``models`` (a census record stores it), so none is computed again.
+
+    Models are taken in canonical order.  A new model joins every class of
+    its group whose first member it is conjugate to by a witness candidate,
+    and the classes it joins merge into the first of them.  Each class
+    answers from its first member's orbit, grown lazily, rather than
+    searching from the new model; the two questions have the same answer
+    (module docstring).  So a class costs at most one conjugation per
+    candidate, however many models it is asked about, and a model equal to a
+    first member up to scaling costs none.
     """
     models = list(models)
     for model in models:
         if (model.n, model.d) != (1, 2):
             raise InvalidArgumentError("twist bucketing is implemented for n = 1, d = 2")
-    if sigmas is None:
-        sigmas = [sigma_invariants(model) for model in models]
-    groups: dict[tuple[Fraction, Fraction], list[list[MorphismModel]]] = {}
-    for model, key in sorted(zip(models, sigmas, strict=True), key=lambda pair: pair[0].canonical_key()):
-        classes = groups.setdefault(key, [])
-        hits = []
-        for i, cls in enumerate(classes):
-            if model.projectively_equal(cls[0]) or _search_witness(cls[0], model, budget) is not None:
-                hits.append(i)
+    sigmas = [sigma_invariants(model) for model in models] if sigmas is None else list(sigmas)
+    if len(sigmas) != len(models):
+        raise InvalidArgumentError(f"{len(sigmas)} sigma keys given for {len(models)} models")
+    groups: dict[tuple[Fraction, Fraction], list[_TwistClass]] = {}
+    for model, sigma in sorted(zip(models, sigmas), key=lambda pair: pair[0].canonical_key()):
+        classes = groups.setdefault(sigma, [])
+        key = primitive_integers(model.all_coeffs())
+        hits = [i for i, cls in enumerate(classes) if cls.reaches(key, budget)]
         if not hits:
-            classes.append([model])
+            classes.append(_TwistClass(model, key))
         else:
-            # the new model links every hit class into one
+            # the new model links every hit class into one, which keeps the first one's orbit
             merged = classes[hits[0]]
-            merged.append(model)
+            merged.members.append(model)
             for i in reversed(hits[1:]):
-                merged.extend(classes.pop(i))
-    return [TwistBucket(key, tuple(tuple(cls) for cls in groups[key])) for key in sorted(groups)]
+                merged.members.extend(classes.pop(i).members)
+    return [TwistBucket(sigma, tuple(tuple(cls.members) for cls in groups[sigma])) for sigma in sorted(groups)]

@@ -324,18 +324,33 @@ def sigma_invariants_full(model: MorphismModel) -> tuple[Fraction, Fraction, Fra
         raise InvalidArgumentError("sigma invariants are implemented for n = 1, d = 2")
     # integers, not the model's Fractions: the forms evaluate about 40 times faster
     v = primitive_integers(model.all_coeffs())
-    res = nonzero_resultant(MorphismModel.from_coeff_lists(1, 2, [v[:3], v[3:]]))
+    return _quadratic_sigma(v, nonzero_resultant(MorphismModel.from_coeff_lists(1, 2, [v[:3], v[3:]])))
+
+
+def _quadratic_sigma(v: tuple[int, ...], res) -> tuple[Fraction, Fraction, Fraction]:
+    """(P1, P2, P3) / res for primitive coefficients v and their nonzero resultant res."""
     return tuple(sum(c * v[i] * v[j] * v[k] * v[l] for c, i, j, k, l in terms) / res for terms in _SIGMA_TERMS)
+
+
+def _sigma_point(s1: Fraction, s2: Fraction) -> ModuliPoint:
+    """The point [sigma_1 : sigma_2 : 1] as coprime integers (x, y, z), z > 0, with its height."""
+    z, x, y = primitive_integers((1, s1, s2))
+    h = max(abs(x), abs(y), z)
+    return ModuliPoint(SIGMA_INVARIANTS, (s1, s2), (x, y, z), h, math.log(h))
+
+
+def _primitive_moduli_height(model: MorphismModel, res) -> ModuliPoint:
+    """moduli_height of a primitive quadratic model on P^1 whose resultant res is already known."""
+    if model.n != 1 or model.d != 2:
+        raise InvalidArgumentError("sigma invariants are implemented for n = 1, d = 2")
+    s1, s2, _ = _quadratic_sigma(primitive_integers(model.all_coeffs()), res)
+    return _sigma_point(s1, s2)
 
 
 def moduli_height(model: MorphismModel) -> ModuliPoint:
     """Height of the class point: exact for (1, 2), coefficient proxy otherwise."""
     if (model.n, model.d) == (1, 2):
-        # the point [sigma_1 : sigma_2 : 1] as coprime integers (x, y, z), z > 0
-        s1, s2 = sigma_invariants(model)
-        z, x, y = primitive_integers((1, s1, s2))
-        h = max(abs(x), abs(y), z)
-        return ModuliPoint(SIGMA_INVARIANTS, (s1, s2), (x, y, z), h, math.log(h))
+        return _sigma_point(*sigma_invariants(model))
     nonzero_resultant(model)
     h = max_abs_coefficient(model)
     return ModuliPoint(COEFFICIENT_PROXY, None, None, h, math.log(h))

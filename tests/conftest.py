@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from dynres import MorphismModel, exact_determinant, macaulay_matrix, macaulay_resultant
+from dynres import MorphismModel, TwistBucket, exact_determinant, macaulay_matrix, macaulay_resultant, sigma_invariants
+from dynres.conjugacy_twists import _search_witness
 from dynres.morphism_space import monomials
 
 
@@ -92,6 +93,29 @@ def _perturbation_resultant(model: MorphismModel, backend: str) -> Fraction:
                 weight *= Fraction(tk, tk - tj)
         total += yj * weight
     return total
+
+
+def retired_bucket_twists(models, budget, sigmas=None) -> list[TwistBucket]:
+    """Retired pairwise twist bucketing, kept as an oracle: every new model runs a
+    witness search towards the first member of every class in its sigma fiber."""
+    models = list(models)
+    if sigmas is None:
+        sigmas = [sigma_invariants(model) for model in models]
+    groups = {}
+    for model, key in sorted(zip(models, sigmas, strict=True), key=lambda pair: pair[0].canonical_key()):
+        classes = groups.setdefault(key, [])
+        hits = []
+        for i, cls in enumerate(classes):
+            if model.projectively_equal(cls[0]) or _search_witness(cls[0], model, budget) is not None:
+                hits.append(i)
+        if not hits:
+            classes.append([model])
+        else:
+            merged = classes[hits[0]]
+            merged.append(model)
+            for i in reversed(hits[1:]):
+                merged.extend(classes.pop(i))
+    return [TwistBucket(key, tuple(tuple(cls) for cls in groups[key])) for key in sorted(groups)]
 
 
 @pytest.fixture

@@ -197,3 +197,34 @@ def test_census_record_attributes_resolve(tmp_path):
     record = load_records(config.records_path)[1]
     for attr in sorted(attrs):
         assert hasattr(record, attr), f"perfbench/wl_census.py reads record.{attr}, which a CensusRecord does not have"
+
+
+def test_census_warm_up_does_no_witness_work(monkeypatch):
+    # the census workload times its set-up, which ends with bucket_twists([model, model], budget):
+    # a class needs witness candidates only when a model is not a multiple of its first member
+    from dynres import SearchBudget, bucket_twists, census, conjugacy_twists
+
+    tree = ast.parse((PERFBENCH / "wl_census.py").read_text(encoding="utf-8"))
+    setup = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "setup")
+    resolve = _chain_resolver(tree)
+    calls = [node for node in ast.walk(setup) if isinstance(node, ast.Call)]
+    (warm_up,) = [call for call in calls if resolve(call.func) == "dynres.bucket_twists"]
+    assert ast.unparse(warm_up.args[0]) == "[model, model]"
+    (first,) = [call for call in calls if resolve(call.func) == "dynres.census.enumerate_models"]
+    assert [ast.unparse(arg) for arg in first.args] == ["N", "D", "H"]
+    assert ast.unparse(warm_up.args[1]) == "state.budget"
+    wl = _module_literals(PERFBENCH / "wl_census.py")
+    model = next(census.enumerate_models(wl["N"], wl["D"], wl["H"]))
+
+    conjugations = []
+    kernel = conjugacy_twists.conjugate_integer_rows
+
+    def counted_kernel(*args):
+        conjugations.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(conjugacy_twists, "conjugate_integer_rows", counted_kernel)
+    conjugacy_twists._witness_candidates.cache_clear()
+    bucket_twists([model, model], SearchBudget(*wl["BUDGET"]))
+    assert conjugacy_twists._witness_candidates.cache_info().currsize == 0
+    assert conjugations == []

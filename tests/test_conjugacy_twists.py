@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
-from conftest import bq, random_morphism, twist, z_squared
+from conftest import bq, random_morphism, retired_bucket_twists, twist, z_squared
 from dynres import (
+    CensusConfig,
     InvalidArgumentError,
     LinearMap,
     MorphismModel,
@@ -15,8 +18,11 @@ from dynres import (
     default_budget,
     factor_integer,
     quadratic_twist_model,
+    sigma_invariants,
     twist_family_test,
 )
+from dynres import census, conjugacy_twists
+from dynres.exact_arithmetic import primitive_integers
 
 BUDGET = default_budget(2)
 
@@ -153,9 +159,137 @@ def test_bucket_twists_empty():
 
 def test_bucket_keys_constant_across_members(rng):
     models = [random_morphism(rng, 1, 2, bound=2) for _ in range(8)]
-    from dynres import sigma_invariants
-
     for bucket in bucket_twists(models, SearchBudget(4, 2, 2)):
         for cls in bucket.classes:
             for member in cls:
                 assert sigma_invariants(member) == bucket.qbar_class_key
+
+
+def test_bucket_twists_rejects_sigmas_of_another_length():
+    models = [twist(1), twist(2)]
+    for sigmas in ([(3, 3)], [(3, 3)] * 3):
+        with pytest.raises(InvalidArgumentError) as exc:
+            bucket_twists(models, BUDGET, sigmas)
+        assert exc.value.code == "invalid-argument"
+
+
+# --- the orbit bucketing against the retired pairwise loop ---------------------
+
+
+@lru_cache(maxsize=None)
+def _h1_b8_members() -> tuple:
+    """(model, sigma) of every record of the (H=1, B=8) census inside Gamma_8."""
+    config = CensusConfig(n=1, d=2, coeff_bound=1, B=8, budget=SearchBudget(4, 2, 2), output_prefix="unused")
+    records = [census.compute_record(config, m, census.record_key(m)) for m in census.enumerate_models(1, 2, 1)]
+    return tuple((r.model, r.sigma) for r in records if r.in_gamma)
+
+
+def _conjugated_models(seed: int) -> list[MorphismModel]:
+    """Seeded quadratic morphisms, each with conjugates by integer matrices with entries up to 3."""
+    rng = random.Random(seed)
+    models = []
+    for _ in range(10):
+        phi = random_morphism(rng, 1, 2, bound=2)
+        models.append(phi)
+        for _ in range(3):
+            while True:
+                rows = [[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)]
+                if rows[0][0] * rows[1][1] != rows[0][1] * rows[1][0]:
+                    break
+            models.append(conjugate(phi, LinearMap.from_rows(rows)))
+    return models
+
+
+def _twist_family() -> list[MorphismModel]:
+    # square ratios (8/2, 18/2, 9/1, 1/4 ...) and non-square ones, both signs
+    values = [1, -1, 2, -2, 3, 4, 8, -8, 9, 18, Fraction(1, 4), Fraction(9, 2), Fraction(2, 9)]
+    return [twist(b) for b in values]
+
+
+def _scaled(model: MorphismModel, s) -> MorphismModel:
+    return MorphismModel.from_coeff_lists(1, 2, [[c * s for c in f.coeffs] for f in model.forms])
+
+
+def _scaled_duplicates() -> list[MorphismModel]:
+    phi = bq(1, 1, 0, 0, -1, 1)
+    psi = conjugate(phi, LinearMap.from_rows([[2, 1], [1, 1]]))
+    scaled = [_scaled(m, s) for m in (phi, psi) for s in (1, -1, 3, Fraction(2, 7), Fraction(-5, 3))]
+    return scaled + [phi, psi, twist(Fraction(1, 3)), twist(3), twist(Fraction(4, 3))]
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3])
+def test_bucket_twists_matches_retired_loop_on_h1_census(bound):
+    models, sigmas = zip(*_h1_b8_members())
+    budget = SearchBudget(4, 2, bound)
+    buckets = bucket_twists(models, budget, sigmas)
+    assert buckets == retired_bucket_twists(models, budget, sigmas)
+    assert sum(len(b.classes) for b in buckets) == 21
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3])
+@pytest.mark.parametrize("family", ["conjugates", "twists", "scaled"])
+def test_bucket_twists_matches_retired_loop(family, bound):
+    models = {"conjugates": _conjugated_models(14), "twists": _twist_family(), "scaled": _scaled_duplicates()}[family]
+    budget = SearchBudget(4, 2, bound)
+    buckets = bucket_twists(models, budget)
+    assert buckets == retired_bucket_twists(models, budget)
+    assert sum(len(cls) for b in buckets for cls in b.classes) == len(models)
+
+
+def test_seeded_conjugates_split_at_bound_2_and_merge_at_bound_3():
+    # a conjugate by a matrix with an entry 3 is out of reach at bound 2
+    models = _conjugated_models(14)
+    split = [len(b.classes) for b in bucket_twists(models, SearchBudget(4, 2, 2))]
+    merged = [len(b.classes) for b in bucket_twists(models, SearchBudget(4, 2, 3))]
+    assert max(split) > 1
+    assert sum(merged) < sum(split)
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 3])
+def test_witness_candidates_closed_under_adjugate(bound):
+    candidates = conjugacy_twists._witness_candidates(bound)
+    assert len(set(candidates)) == len(candidates)
+    for (a, b), (c, d) in candidates:
+        e = primitive_integers((d, -b, -c, a))
+        assert ((e[0], e[1]), (e[2], e[3])) in candidates
+
+
+@pytest.fixture
+def conjugation_counter(monkeypatch):
+    """Counts conjugations made by conjugacy_twists, and the classes bucket_twists creates."""
+    counts = {"conjugations": 0, "classes": 0}
+    kernel = conjugacy_twists.conjugate_integer_rows
+
+    def counted_kernel(*args):
+        counts["conjugations"] += 1
+        return kernel(*args)
+
+    class CountedClass(conjugacy_twists._TwistClass):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            counts["classes"] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(conjugacy_twists, "conjugate_integer_rows", counted_kernel)
+    monkeypatch.setattr(conjugacy_twists, "_TwistClass", CountedClass)
+    return counts
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3])
+def test_bucket_twists_conjugates_each_class_at_most_once_per_candidate(conjugation_counter, bound):
+    models, sigmas = zip(*_h1_b8_members())
+    models = list(models) + _conjugated_models(14) + _twist_family()
+    sigmas = list(sigmas) + [sigma_invariants(m) for m in models[len(sigmas) :]]
+    bucket_twists(models, SearchBudget(4, 2, bound), sigmas)
+    per_class = len(conjugacy_twists._witness_candidates(bound))
+    assert 0 < conjugation_counter["conjugations"] <= conjugation_counter["classes"] * per_class
+
+
+def test_bucket_twists_needs_no_conjugation_for_scalar_multiples(conjugation_counter):
+    m = bq(1, 1, 0, 0, -1, 1)
+    multiples = [_scaled(m, s) for s in (1, 2, -3, Fraction(1, 5))]
+    for models in ([m, m], multiples):
+        buckets = bucket_twists(models, BUDGET)
+        assert [len(b.classes) for b in buckets] == [1]
+    assert conjugation_counter == {"conjugations": 0, "classes": 2}
