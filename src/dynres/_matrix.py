@@ -2,8 +2,10 @@
 
 Matrices are lists of lists (rows) of ints or Fractions.  Two determinant
 kernels are provided: fraction-free Bareiss elimination, and a multimodular
-route (determinants mod word-sized primes, CRT-combined under a Hadamard
-bound with balanced sign lift).
+route: one elimination modulo a product of word-sized primes that exceeds
+twice the Hadamard bound, then a balanced sign lift.  When a pivot is not a
+unit modulo that product, each prime is eliminated on its own and the
+residues are CRT-combined.
 """
 
 from __future__ import annotations
@@ -126,13 +128,18 @@ def _crt_primes(need_product: int) -> list[int]:
 
 
 def det_mod_p(matrix: list[list[int]], p: int) -> int:
+    """det(matrix) mod p for any modulus p >= 2, by Gaussian elimination.
+
+    Each column pivots on its first entry that is nonzero mod p; raises
+    ValueError when that pivot is not a unit mod p, which a prime p never meets.
+    """
     m = [[x % p for x in row] for row in matrix]
     n = len(m)
     det = 1
     for k in range(n):
         pivot_row = None
         for i in range(k, n):
-            if m[i][k] % p:
+            if m[i][k]:
                 pivot_row = i
                 break
         if pivot_row is None:
@@ -155,10 +162,12 @@ def det_mod_p(matrix: list[list[int]], p: int) -> int:
 
 
 def det_modular_crt_int(matrix: list[list[int]]) -> int:
-    """Exact integer determinant by CRT over word-sized primes.
+    """Exact integer determinant modulo a product N of word-sized primes.
 
-    The prime set is sized by the Hadamard bound, so the balanced lift is
-    guaranteed correct with no probabilistic assumption.
+    The prime set is sized by the Hadamard bound, N > 2 |det|, so the balanced
+    lift is guaranteed correct with no probabilistic assumption.  One
+    elimination modulo N does the work; only when a pivot is not a unit mod N
+    does the determinant come from one elimination per prime, CRT-combined.
     """
     n = len(matrix)
     if n == 0:
@@ -167,16 +176,16 @@ def det_modular_crt_int(matrix: list[list[int]]) -> int:
     if bound == 0:
         return 0
     primes = _crt_primes(2 * bound)
-    residue = 0
-    modulus = 1
-    for p in primes:
-        r = det_mod_p(matrix, p)
-        # incremental CRT
-        if modulus == 1:
-            residue, modulus = r, p
-        else:
-            inv = pow(modulus % p, -1, p)
-            t = (r - residue) * inv % p
+    modulus = math.prod(primes)
+    try:
+        residue = det_mod_p(matrix, modulus)
+    except ValueError:
+        residue = 0
+        modulus = 1
+        for p in primes:
+            r = det_mod_p(matrix, p)
+            # incremental CRT
+            t = (r - residue) * pow(modulus, -1, p) % p
             residue += modulus * t
             modulus *= p
     if residue > modulus // 2:

@@ -30,7 +30,7 @@ class DegenerateInputError(DynresError):
 
 
 class UnfactoredResidueError(DynresError):
-    """Integer factorization gave up; carries the composite cofactor."""
+    """Integer factorization gave up; carries the cofactor it could neither split nor certify prime."""
 
     code = "unfactored-residue"
 

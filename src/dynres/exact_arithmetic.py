@@ -32,11 +32,19 @@ class _InfiniteValuation:
 
 INFINITY = _InfiniteValuation()
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10**24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes as Miller-Rabin bases decide primality for every
+# n < psi_13, the least strong pseudoprime to all of them (Sorenson and
+# Webster, Math. Comp. 2017); the 12 bases up to 37 stop at psi_12 ~ 3.19e23.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_DETERMINISTIC_BELOW = 3317044064679887385961981  # psi_13 = 1287836182261 * 2575672364521
 
 
 def is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases 2..41: exact below MR_DETERMINISTIC_BELOW.
+
+    At or above it, False is still a proof of compositeness, but True only
+    says n is a strong probable prime.
+    """
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -176,8 +184,10 @@ def factor_integer(n: int, rho_rounds: int = 40) -> dict[int, int]:
     """Factor |n| >= 1 into primes.
 
     Trial division up to ``TRIAL_BOUND``, then Pollard rho on what remains.
-    If rho stalls, raises UnfactoredResidueError naming the composite cofactor
-    rather than returning a wrong answer.
+    If rho stalls, or a cofactor passes Miller-Rabin at or above
+    ``MR_DETERMINISTIC_BELOW`` where the test certifies nothing, raises
+    UnfactoredResidueError naming the cofactor rather than returning a wrong
+    answer.
     """
     n = abs(int(n))
     if n == 0:
@@ -204,6 +214,8 @@ def factor_integer(n: int, rho_rounds: int = 40) -> dict[int, int]:
         if m == 1:
             continue
         if is_prime(m):
+            if m >= MR_DETERMINISTIC_BELOW:
+                raise UnfactoredResidueError(f"cofactor {m} is only a probable prime", m)
             out[m] = out.get(m, 0) + 1
             continue
         d = m

@@ -41,6 +41,20 @@ def monomial_index(n: int, d: int) -> dict[MultiIndex, int]:
     return {m: i for i, m in enumerate(monomials(n, d))}
 
 
+_SHARED_LIMIT = 1 << 10
+_SHARED: dict[int, Fraction] = {}
+
+
+def _shared_fraction(c) -> Fraction:
+    """Fraction(c); an integer value of size at most _SHARED_LIMIT gives one shared object."""
+    f = _SHARED.get(c)
+    if f is None:
+        f = Fraction(c)
+        if f.denominator == 1 and abs(f.numerator) <= _SHARED_LIMIT:
+            f = _SHARED.setdefault(f.numerator, f)
+    return f
+
+
 @dataclass(frozen=True, slots=True)
 class HomogeneousForm:
     """A homogeneous polynomial of degree d in n+1 variables, dense coefficients."""
@@ -103,7 +117,7 @@ class MorphismModel:
 
     @classmethod
     def from_coeff_lists(cls, n: int, d: int, lists) -> "MorphismModel":
-        return cls(n, d, tuple(HomogeneousForm(n, d, tuple(Fraction(c) for c in row)) for row in lists))
+        return cls(n, d, tuple(HomogeneousForm(n, d, tuple(_shared_fraction(c) for c in row)) for row in lists))
 
     def all_coeffs(self) -> tuple:
         return tuple(c for f in self.forms for c in f.coeffs)

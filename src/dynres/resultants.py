@@ -9,6 +9,12 @@ coefficients, and R's leading coefficient is Res(X_0^d, ..., X_n^d) = 1.
 Res is R(0): the quotient at t = 0 when det(M') != 0, else interpolated from
 delta + 1 nodes t = 1, 2, ...  For n = 1, M is the Sylvester matrix and M' is
 empty.
+
+M is 80-90 % zeros for n >= 2, so the resultant fills it with rows and
+columns in one fill-reducing order of the degree-D monomials, computed once
+per (n, d).  A permutation applied to both rows and columns keeps det M, the
+principal minor M' and the diagonal that t perturbs; the public matrices
+keep the natural monomial order.
 """
 
 from __future__ import annotations
@@ -60,9 +66,45 @@ def _placement(n: int, d: int) -> tuple[tuple, tuple[int, ...]]:
     return tuple(rows), tuple(minor)
 
 
-def _fill(n: int, d: int, coeffs, zero) -> list[list]:
+@lru_cache(maxsize=None)
+def _elimination_order(n: int, d: int) -> tuple[int, ...]:
+    """The rows of _placement (equally its columns) in a fill-reducing elimination order.
+
+    Each step takes the diagonal pivot of least Markowitz cost (r - 1)(c - 1)
+    on the nonzero pattern of the placement, grown by the fill of the steps
+    before it; ties go to the first monomial.
+    """
+    rows = {r: set(targets) for r, (_, targets) in enumerate(_placement(n, d)[0])}
+    cols = {c: set() for c in rows}
+    for r, row in rows.items():
+        for c in row:
+            cols[c].add(r)
+    order = []
+    while rows:
+        k = min(rows, key=lambda r: ((len(rows[r]) - 1) * (len(cols[r]) - 1), r))
+        pivot_row, pivot_col = rows.pop(k) - {k}, cols.pop(k) - {k}
+        for i in pivot_col:
+            rows[i].discard(k)
+            rows[i] |= pivot_row
+        for j in pivot_row:
+            cols[j].discard(k)
+            cols[j] |= pivot_col
+        order.append(k)
+    return tuple(order)
+
+
+@lru_cache(maxsize=None)
+def _elimination_placement(n: int, d: int) -> tuple[tuple, tuple[int, ...]]:
+    """_placement with rows and columns both in _elimination_order; M' keeps that order."""
+    placement, minor = _placement(n, d)
+    order = _elimination_order(n, d)
+    position = {r: k for k, r in enumerate(order)}
+    rows = tuple((placement[r][0], tuple(position[c] for c in placement[r][1])) for r in order)
+    return rows, tuple(sorted(position[r] for r in minor))
+
+
+def _fill(placement, coeffs, zero) -> list[list]:
     """The Macaulay matrix with coeffs[i] as the coefficients of phi_i, placed as given."""
-    placement, _ = _placement(n, d)
     size = len(placement)
     rows = []
     for i, targets in placement:
@@ -79,7 +121,7 @@ def sylvester_matrix(f: HomogeneousForm, g: HomogeneousForm) -> list[list[Fracti
         raise InvalidArgumentError("Sylvester resultant is for binary forms")
     if f.d != g.d or f.d < 1:
         raise InvalidArgumentError("binary forms must have equal degree >= 1")
-    return _fill(1, f.d, [[Fraction(c) for c in h.coeffs] for h in (f, g)], Fraction(0))
+    return _fill(_placement(1, f.d)[0], [[Fraction(c) for c in h.coeffs] for h in (f, g)], Fraction(0))
 
 
 def sylvester_resultant(f: HomogeneousForm, g: HomogeneousForm, backend: str = "bareiss") -> Fraction:
@@ -114,15 +156,16 @@ class MacaulayMatrix:
 
 def macaulay_matrix(model: MorphismModel) -> MacaulayMatrix:
     n, d = model.n, model.d
-    rows = _fill(n, d, [[Fraction(c) for c in f.coeffs] for f in model.forms], Fraction(0))
-    return MacaulayMatrix(n, d, (n + 1) * (d - 1) + 1, tuple(map(tuple, rows)), _placement(n, d)[1])
+    placement, minor = _placement(n, d)
+    rows = _fill(placement, [[Fraction(c) for c in f.coeffs] for f in model.forms], Fraction(0))
+    return MacaulayMatrix(n, d, (n + 1) * (d - 1) + 1, tuple(map(tuple, rows)), minor)
 
 
 def macaulay_resultant(model: MorphismModel, backend: str = "bareiss") -> ResultantValue:
     """Res of the model, R(0); nonzero exactly when the forms have no common zero."""
     n, d = model.n, model.d
-    full = _fill(n, d, [f.coeffs for f in model.forms], 0)
-    minor = _placement(n, d)[1]
+    placement, minor = _elimination_placement(n, d)
+    full = _fill(placement, [f.coeffs for f in model.forms], 0)
     nodes: list[tuple[int, Fraction]] = []
     t = 0
     while len(nodes) <= (n + 1) * d**n:

@@ -17,7 +17,7 @@ from dynres import (
     rational_to_string,
     valuation,
 )
-from dynres.exact_arithmetic import is_perfect_square, primitive_integers
+from dynres.exact_arithmetic import MR_DETERMINISTIC_BELOW, is_perfect_square, primitive_integers
 
 
 def test_valuation_examples():
@@ -116,6 +116,31 @@ def test_factor_integer_loud_failure():
     with pytest.raises(UnfactoredResidueError) as info:
         factor_integer(n, rho_rounds=0)
     assert info.value.cofactor == n
+
+
+# the least strong pseudoprimes to the first 12 and 13 prime bases (Sorenson and Webster)
+PSI_12 = (399165290221, 798330580441)
+PSI_13 = (1287836182261, 2575672364521)
+
+
+def test_strong_pseudoprime_to_twelve_bases_is_factored():
+    n = PSI_12[0] * PSI_12[1]
+    assert n == 318665857834031151167461
+    assert not is_prime(n)
+    assert all(is_prime(p) for p in PSI_12)
+    assert factor_integer(n) == {PSI_12[0]: 1, PSI_12[1]: 1}
+    assert factor_integer(6 * n) == {2: 1, 3: 1, PSI_12[0]: 1, PSI_12[1]: 1}
+
+
+def test_probable_prime_beyond_the_deterministic_range_is_refused():
+    n = PSI_13[0] * PSI_13[1]
+    assert n == MR_DETERMINISTIC_BELOW == 3317044064679887385961981
+    # a strong pseudoprime to every base: Miller-Rabin alone cannot tell
+    assert is_prime(n)
+    for m in (n, 4 * n):
+        with pytest.raises(UnfactoredResidueError) as info:
+            factor_integer(m)
+        assert info.value.cofactor == n
 
 
 def test_is_perfect_square():

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import binary, bq, proj_eq, random_model, random_morphism, twist, z_squared
 from dynres import (
+    HomogeneousForm,
     IndeterminatePointError,
     InvalidArgumentError,
     LinearMap,
@@ -18,6 +19,7 @@ from dynres import (
     monomials,
     normalize_primitive,
 )
+from dynres import morphism_space
 
 
 def test_monomials_lex_descending():
@@ -202,3 +204,48 @@ def test_conjugate_pinned_integer_matrix():
     assert c2 == MorphismModel.from_coeff_lists(
         2, 2, [[8, 4, 3, -11, -13, -4], [1, 2, 0, 14, 13, 1], [-2, 2, 3, 14, 13, 7]]
     )
+
+
+def _unshared(n, d, lists) -> MorphismModel:
+    # the model from_coeff_lists built before it shared small coefficients
+    return MorphismModel(n, d, tuple(HomogeneousForm(n, d, tuple(Fraction(c) for c in row)) for row in lists))
+
+
+def test_small_coefficients_are_shared(rng):
+    a = MorphismModel.from_coeff_lists(1, 2, [[3, 0, -1], [0, 3, Fraction(6, 2)]])
+    b = MorphismModel.from_coeff_lists(2, 1, [[Fraction(-1), 3, 0], [0, 0, 0], ["3", 1, 1024]])
+    threes = [c for m in (a, b) for c in m.all_coeffs() if c == 3]
+    assert len(threes) == 5 and all(c is threes[0] for c in threes)
+    assert a.forms[0].coeffs[2] is b.forms[0].coeffs[0]
+    assert a.forms[0].coeffs[1] is b.forms[1].coeffs[0]
+    assert b.forms[2].coeffs[2] is MorphismModel.from_coeff_lists(1, 1, [[1024, 0], [0, 1]]).forms[0].coeffs[0]
+    # small integers, large integers (beyond the table) and fractions
+    draws = (
+        lambda: rng.randint(-9, 9),
+        lambda: 2**70 + rng.randint(0, 9),
+        lambda: -1025,
+        lambda: Fraction(rng.randint(-9, 9), 7),
+    )
+    for n, d in ((1, 2), (2, 2), (1, 3)):
+        per_form = len(monomials(n, d))
+        for _ in range(20):
+            lists = [[rng.choice(draws)() for _ in range(per_form)] for _ in range(n + 1)]
+            if not any(any(row) for row in lists):
+                continue
+            shared, fresh = MorphismModel.from_coeff_lists(n, d, lists), _unshared(n, d, lists)
+            assert all(type(c) is Fraction for c in shared.all_coeffs())
+            assert shared == fresh and hash(shared) == hash(fresh)
+            assert shared.all_coeffs() == fresh.all_coeffs()
+            assert shared.to_json() == fresh.to_json()
+            assert shared.canonical_key() == fresh.canonical_key()
+            lam = Fraction(rng.choice([-3, 2, 5]), rng.choice([1, 4]))
+            assert shared.scale(lam) == fresh.scale(lam)
+            # unipotent upper triangular, so invertible
+            rows = [[int(i == j) or (i < j) * rng.randint(0, 2) for j in range(n + 1)] for i in range(n + 1)]
+            f = LinearMap.from_rows(rows)
+            assert conjugate(shared, f) == conjugate(fresh, f)
+            # only integers of size at most 1024 come from the table
+            again = MorphismModel.from_coeff_lists(n, d, lists)
+            for c, c_again in zip(shared.all_coeffs(), again.all_coeffs()):
+                assert (c is c_again) == (c.denominator == 1 and abs(c) <= 1024)
+    assert len(morphism_space._SHARED) <= 2 * 1024 + 1

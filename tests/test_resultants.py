@@ -18,7 +18,8 @@ from dynres import (
     sylvester_resultant,
 )
 from dynres import _matrix
-from dynres.resultants import nonzero_resultant
+from dynres import resultants
+from dynres.resultants import ResultantValue, nonzero_resultant
 
 X, Y, Z = sympy.symbols("x y z")
 
@@ -364,3 +365,106 @@ def test_perturbation_pinned_larger_shapes(monkeypatch):
         assert (rv.method, rv.value) == ("perturbation", expected)
         # R(t) has degree (n+1) d^n, so that many nodes plus one, each one det(M + tI)
         assert det_sizes.count(macaulay_matrix(m).size()) == (n + 1) * d**n + 1
+
+
+SHAPES = ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 2))
+
+
+def _symbolic_fill(pattern, order) -> int:
+    # entries that diagonal elimination in this order turns from zero to nonzero
+    position = {r: k for k, r in enumerate(order)}
+    rows = [{position[c] for c in pattern[r]} for r in order]
+    fill = 0
+    for k, pivot in enumerate(rows):
+        right = {j for j in pivot if j > k}
+        for row in rows[k + 1 :]:
+            if k in row:
+                fill += len(right - row)
+                row |= right
+    return fill
+
+
+def test_elimination_order_is_a_permutation():
+    for n, d in SHAPES:
+        size = len(monomials(n, (n + 1) * (d - 1) + 1))
+        assert sorted(resultants._elimination_order(n, d)) == list(range(size))
+
+
+def test_elimination_order_reduces_fill():
+    for n, d in SHAPES:
+        pattern = [set(targets) for _, targets in resultants._placement(n, d)[0]]
+        fill = _symbolic_fill(pattern, resultants._elimination_order(n, d))
+        natural = _symbolic_fill(pattern, range(len(pattern)))
+        assert fill <= natural
+        if n >= 2 and d >= 2:
+            assert 2 * fill < natural
+
+
+def test_elimination_placement_permutes_rows_and_columns(rng):
+    for n, d in SHAPES:
+        order = resultants._elimination_order(n, d)
+        placement, minor = resultants._elimination_placement(n, d)
+        for _ in range(3):
+            model = random_model(rng, n, d)
+            mac = macaulay_matrix(model)
+            natural = mac.rows()
+            permuted = resultants._fill(placement, [f.coeffs for f in model.forms], 0)
+            assert permuted == [[natural[r][c] for c in order] for r in order]
+            # so M' is the principal minor of the permuted M on the images of the rows of M'
+            assert sorted(order[a] for a in minor) == list(mac.reduced_minor_index)
+            assert [[permuted[a][b] for b in minor] for a in minor] == [
+                [natural[order[a]][order[b]] for b in minor] for a in minor
+            ]
+
+
+def _natural_order_resultant(model, backend) -> ResultantValue:
+    # the route through the natural monomial order, from the tests/conftest.py oracles
+    quotient = _macaulay_quotient(model, backend)
+    if quotient is not None:
+        return ResultantValue(quotient, "sylvester" if model.n == 1 else "macaulay_quotient")
+    return ResultantValue(_perturbation_resultant(model, backend), "perturbation")
+
+
+def test_macaulay_resultant_matches_natural_order():
+    rng = random.Random(1515)
+    draws = []
+    for n, d in ((2, 2), (2, 3), (3, 2)):
+        draws += [random_model(rng, n, d) for _ in range(3 if (n, d) == (3, 2) else 5)]
+        draws += _singular_minor_draws(rng, n, d, 1, False) + _singular_minor_draws(rng, n, d, 1, True)
+    seen = set()
+    for model in draws:
+        for backend in ("bareiss", "modular_crt"):
+            rv = macaulay_resultant(model, backend)
+            assert rv == _natural_order_resultant(model, backend)
+            seen.add((model.n, model.d, rv.method, rv.vanishes()))
+    for n, d in ((2, 2), (2, 3), (3, 2)):
+        assert {(n, d, "macaulay_quotient", False), (n, d, "perturbation", False), (n, d, "perturbation", True)} <= seen
+
+
+def test_modular_determinant_falls_back_on_non_unit_pivots(monkeypatch):
+    moduli = []
+    det_mod_p = _matrix.det_mod_p
+
+    def recording(matrix, p):
+        moduli.append(p)
+        return det_mod_p(matrix, p)
+
+    monkeypatch.setattr(_matrix, "det_mod_p", recording)
+    p1 = _matrix._crt_primes(1)[0]
+    rng = random.Random(88)
+    multiples_of_p1 = {
+        "first column": lambda i, j: j == 0,
+        "every entry": lambda i, j: True,
+        "diagonal": lambda i, j: i == j,
+        "random entries": lambda i, j: rng.random() < 0.4,
+    }
+    for size in range(1, 9):
+        for kind, hit in multiples_of_p1.items():
+            mat = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
+            mat[0][0] = rng.choice([-9, -1, 1, 9])
+            mat = [[x * p1 if hit(i, j) else x for j, x in enumerate(row)] for i, row in enumerate(mat)]
+            moduli.clear()
+            assert exact_determinant(mat, "modular_crt") == exact_determinant(mat, "bareiss")
+            if kind != "random entries":
+                # the first pivot is a nonzero multiple of p1, so not a unit mod N: one elimination per prime
+                assert moduli[1:] == _matrix._crt_primes(2 * _matrix.hadamard_bound(mat))
