@@ -25,10 +25,11 @@ SCHEMAS = {
     "morphism": {
         "n": "int, dimension of the target projective space",
         "d": "int >= 1, common degree of the forms",
-        "forms": 'n+1 arrays of ["i0,...,in", "a/b"] pairs, multi-indices of weight d in lexicographic order',
+        "forms": 'n+1 arrays of ["i0,...,in", "a/b" or "a"] pairs, ASCII digits, multi-indices of weight d in lexicographic order',
     },
     "resultant": {"res": "string rational", "method": "sylvester | macaulay_quotient | perturbation", "vanishes": "bool"},
     "reduce": {
+        "requires": "a morphism with n = 1, any d",
         "res": "string rational",
         "local": [{"p": "string prime", "e": "int", "eps": "int", "certified": "bool"}],
         "minimal_resultant": {"<p>": "int exponent"},
@@ -36,11 +37,12 @@ SCHEMAS = {
         "fully_certified": "bool",
     },
     "invariants": {
-        "sigma1": "string rational or null",
-        "sigma2": "string rational or null",
-        "moduli_point": "three coprime integer strings or null",
+        "requires": "a morphism with n = 1, d = 2",
+        "sigma1": "string rational",
+        "sigma2": "string rational",
+        "moduli_point": "three coprime integer strings",
         "moduli_height": "float, 12 significant digits",
-        "kind": "sigma_invariants | coefficient_proxy",
+        "kind": "sigma_invariants",
     },
     "twist-test": {"status": "conjugate | not_conjugate | unknown", "witness": "matrix of string rationals or null"},
     "census": "flags --n 1 --d 2 (no other shape) --H --B [--budget AMAX[,DEPTH[,MBOUND]]] [--threads N] --out PREFIX;"
@@ -111,11 +113,11 @@ def _cmd_invariants(args) -> int:
     mp = moduli_height(model)
     _emit(
         {
-            "sigma1": None if mp.sigma is None else rational_to_string(mp.sigma[0]),
-            "sigma2": None if mp.sigma is None else rational_to_string(mp.sigma[1]),
-            "moduli_point": None if mp.point is None else [str(x) for x in mp.point],
+            "sigma1": rational_to_string(mp.sigma[0]),
+            "sigma2": rational_to_string(mp.sigma[1]),
+            "moduli_point": [str(x) for x in mp.point],
             "moduli_height": float(f"{mp.height:.12g}"),
-            "kind": mp.kind,
+            "kind": "sigma_invariants",
         }
     )
     return 0

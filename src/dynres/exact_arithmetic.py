@@ -8,12 +8,14 @@ in factored form.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidArgumentError, UnfactoredResidueError
 
 TRIAL_BOUND = 10**6
+_RATIONAL_LITERAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")  # what rational_to_string writes, or "+a"
 
 
 class _InfiniteValuation:
@@ -268,7 +270,10 @@ def rational_to_string(x) -> str:
 
 
 def rational_from_string(s: str) -> Fraction:
+    """Parse "a" or "a/b" (ASCII digits, optional sign); refuse "1e9999999" and every other spelling."""
+    if _RATIONAL_LITERAL.fullmatch(s) is None:
+        raise InvalidArgumentError(f"bad rational literal {s!r}")
     try:
-        return Fraction(s.strip())
+        return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidArgumentError(f"bad rational literal {s!r}") from exc

@@ -1,11 +1,11 @@
-"""Moduli-point invariants: multiplier spectra and sigma invariants on P^1.
+"""Moduli-point invariants of quadratic maps of P^1, and multiplier spectra.
 
 For (n, d) = (1, 2) the pair (sigma_1, sigma_2) of elementary symmetric
 functions of the three fixed-point multipliers pins the conjugacy class and
 identifies M_2 with A^2 (Milnor, "Geometry and dynamics of quadratic rational
 maps", Exp. Math. 1993), and the moduli height is the height of
-[sigma_1 : sigma_2 : 1].  Away from that case the coefficient height of the
-primitive model stands in as an explicitly flagged, model-dependent proxy.
+[sigma_1 : sigma_2 : 1].  The sigma invariants and moduli_height refuse
+every other shape with InvalidArgumentError.
 
 Quadratic sigma.  sigma_i = P_i / Res, where P_i is a fixed integer form of
 degree 4 in the coefficients (a0, a1, a2; b0, b1, b2) of phi0 and phi1
@@ -32,8 +32,8 @@ Multipliers are never computed one by one: the sum of the j-th powers of the
 affine multipliers is sum_t (q^j mod f)_t * P_t, where P_t is the t-th power
 sum of the roots of f (Newton's identities on its coefficients).  A fixed
 point at infinity contributes its multiplier, read off in the w = 1/z chart,
-once per multiplicity.  This route serves every d >= 2 and is the test
-oracle of the quadratic formula.
+once per multiplicity.  This route takes every d >= 2; it is the test
+oracle of the quadratic formula, and no answer is read from it.
 
 The same data decide whether phi is a morphism, so it computes no resultant.
 For d >= 2, Res(phi) = 0 exactly when phi0 and phi1 share a zero P, and then
@@ -52,11 +52,8 @@ from fractions import Fraction
 
 from .errors import DegenerateInputError, InvalidArgumentError, NotAMorphismError
 from .exact_arithmetic import primitive_integers
-from .morphism_space import HomogeneousForm, MorphismModel, max_abs_coefficient
+from .morphism_space import HomogeneousForm, MorphismModel
 from .resultants import nonzero_resultant
-
-SIGMA_INVARIANTS = "sigma_invariants"
-COEFFICIENT_PROXY = "coefficient_proxy"
 
 # P1, P2, P3 of the module docstring, in the coefficients (a0, a1, a2) of phi0
 # and (b0, b1, b2) of phi1 at (X^2, XY, Y^2)
@@ -87,17 +84,14 @@ class MultiplierSpectrum:
 
 @dataclass(frozen=True, slots=True)
 class ModuliPoint:
-    """Invariants identifying the conjugacy class, with an exact height witness.
+    """The class point [sigma_1 : sigma_2 : 1] of a quadratic map of P^1, with its height.
 
-    mult_height is the multiplicative height (max |coordinate| of the coprime
-    integer point for sigma kind, max |coefficient| of the primitive model for
-    the proxy kind); height = log(mult_height).  The proxy kind is
-    model-dependent, not class-invariant.
+    point is (x, y, z), coprime integers with z > 0; mult_height is
+    max(|x|, |y|, z), the multiplicative height, and height = log(mult_height).
     """
 
-    kind: str
-    sigma: tuple[Fraction, Fraction] | None
-    point: tuple[int, int, int] | None
+    sigma: tuple[Fraction, Fraction]
+    point: tuple[int, int, int]
     mult_height: int
     height: float
 
@@ -336,7 +330,7 @@ def _sigma_point(s1: Fraction, s2: Fraction) -> ModuliPoint:
     """The point [sigma_1 : sigma_2 : 1] as coprime integers (x, y, z), z > 0, with its height."""
     z, x, y = primitive_integers((1, s1, s2))
     h = max(abs(x), abs(y), z)
-    return ModuliPoint(SIGMA_INVARIANTS, (s1, s2), (x, y, z), h, math.log(h))
+    return ModuliPoint((s1, s2), (x, y, z), h, math.log(h))
 
 
 def _primitive_moduli_height(model: MorphismModel, res) -> ModuliPoint:
@@ -348,9 +342,5 @@ def _primitive_moduli_height(model: MorphismModel, res) -> ModuliPoint:
 
 
 def moduli_height(model: MorphismModel) -> ModuliPoint:
-    """Height of the class point: exact for (1, 2), coefficient proxy otherwise."""
-    if (model.n, model.d) == (1, 2):
-        return _sigma_point(*sigma_invariants(model))
-    nonzero_resultant(model)
-    h = max_abs_coefficient(model)
-    return ModuliPoint(COEFFICIENT_PROXY, None, None, h, math.log(h))
+    """The class point of a quadratic map of P^1 and its exact height."""
+    return _sigma_point(*sigma_invariants(model))

@@ -343,11 +343,6 @@ def evaluate(model: MorphismModel, point) -> tuple:
     return image
 
 
-def max_abs_coefficient(model: MorphismModel) -> int:
-    """Largest |coefficient| of the primitive model (multiplicative height)."""
-    return max(abs(v) for v in primitive_integers(model.all_coeffs()))
-
-
 def coefficient_height(model: MorphismModel) -> float:
     """log max |a_I| on the primitive model; scaling-invariant."""
-    return math.log(max_abs_coefficient(model))
+    return math.log(max(abs(v) for v in primitive_integers(model.all_coeffs())))

@@ -7,12 +7,11 @@ The resultant exponent of a model at p is
 independent of the scaling of the model.  It is constant on GL_{n+1}(Z_p)
 orbits, so for n = 1 it is a function on the vertices of the Bruhat-Tits tree
 of PGL2(Q_p), convex along paths (Rumely, "The minimal resultant locus",
-2015).  For n = 1 the search walks that tree: from the current model it moves
-to the first of the p + 1 neighbouring vertices with a smaller exponent and
-stops where none is smaller, which is the minimum over PGL2(Q_p) and hence
-over the Q-rational class (Bruin-Molnar 2012).  For n >= 2 it is a budgeted
-search over diagonal p-power scalings.  Only a minimum of 0 is certified
-exact; every positive minimum is reported as an upper bound.
+2015).  The search, for maps of P^1 only, walks that tree: from the current
+model it moves to the first of the p + 1 neighbouring vertices with a smaller
+exponent and stops where none is smaller, which is the minimum over PGL2(Q_p)
+and hence over the Q-rational class (Bruin-Molnar 2012).  Only a minimum of 0
+is certified exact; every positive minimum is reported as an upper bound.
 
 The search scores a conjugate without recomputing its resultant: for an
 integer matrix F,
@@ -27,7 +26,6 @@ stopping floor.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,11 +49,10 @@ BAD_UPPER_BOUND = "bad_upper_bound"
 class SearchBudget:
     """Bounds for conjugator searches.
 
-    For n >= 2, a_max bounds |exponent| in diagonal p-power moves.  For n = 1
-    the budget only switches the tree walk on (a_max > 0 or
-    translation_depth > 0) or off; translation_depth bounds nothing else and
-    is kept because census summaries and the CLI's --budget carry it.
-    matrix_bound caps the entry height of conjugacy-witness matrices.
+    a_max and translation_depth only switch the tree walk on (either > 0) or
+    off; they bound nothing else and are kept because census summaries and
+    the CLI's --budget carry them.  matrix_bound caps the entry height of
+    conjugacy-witness matrices.
     """
 
     a_max: int
@@ -152,21 +149,6 @@ def exponent_step(n: int, d: int) -> int:
     return math.gcd(d**n * (n + d), (n + 1) * d**n)
 
 
-def search_moves(n: int, p: int, budget: SearchBudget):
-    """Diagonal p-power scalings diag(1, p^a_1, ..., p^a_n) with |a_i| <= 2 a_max.
-
-    Each is yielded as a primitive integer matrix (exponents shifted to be
-    non-negative with one of them 0), smallest max |a_i| first.
-    """
-    amp = 2 * budget.a_max
-    tails = itertools.product(range(-amp, amp + 1), repeat=n)
-    for tail in sorted(tails, key=lambda t: (max(abs(a) for a in t), t)):
-        if all(a == 0 for a in tail):
-            continue
-        diag = [a - min(0, *tail) for a in (0,) + tail]
-        yield tuple(tuple(p**a if i == j else 0 for j in range(n + 1)) for i, a in enumerate(diag))
-
-
 def conjugated_exponent(prim: MorphismModel, p: int, v_res: int, fmat) -> int:
     """e_p of the conjugate by the integer matrix fmat, via the covariance identity."""
     n, d = prim.n, prim.d
@@ -207,18 +189,9 @@ def _minimize(prim: MorphismModel, p: int, v_res: int, budget: SearchBudget) -> 
     e_model = v_res  # primitive model has minimal coefficient valuation 0
     if e_model == 0:
         return LocalExponent(p, 0, 0, True)
-    floor = e_model % exponent_step(prim.n, prim.d)
     best = e_model
-    if prim.n == 1:
-        if budget.a_max > 0 or budget.translation_depth > 0:
-            best = _descend(prim, p, v_res, floor)
-    elif best > floor:
-        for fmat in search_moves(prim.n, p, budget):
-            e = conjugated_exponent(prim, p, v_res, fmat)
-            if e < best:
-                best = e
-                if best <= floor:
-                    break
+    if budget.a_max > 0 or budget.translation_depth > 0:
+        best = _descend(prim, p, v_res, e_model % exponent_step(prim.n, prim.d))
     return LocalExponent(p, e_model, best, best == 0)
 
 
@@ -229,12 +202,16 @@ def minimize_exponent(model: MorphismModel, p: int, budget: SearchBudget) -> Loc
     minimum, since exponents are never negative); a positive result is an
     upper bound for the class minimum.
     """
+    if model.n != 1:
+        raise InvalidArgumentError("reduction is implemented for maps of P^1 (n = 1)")
     prim = normalize_primitive(model)
     return _minimize(prim, p, valuation(nonzero_resultant(prim), p), budget)
 
 
 def reduction_report(model: MorphismModel, budget: SearchBudget) -> ReductionReport:
     """Factor Res of the primitive model and minimize every positive exponent."""
+    if model.n != 1:
+        raise InvalidArgumentError("reduction is implemented for maps of P^1 (n = 1)")
     prim = normalize_primitive(model)
     res = nonzero_resultant(prim)
     factors = factor_integer(abs(int(res)))

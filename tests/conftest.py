@@ -1,9 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from dynres import MorphismModel, TwistBucket, exact_determinant, macaulay_matrix, macaulay_resultant, sigma_invariants
+from dynres import MorphismModel, SearchBudget, TwistBucket, exact_determinant, macaulay_matrix, macaulay_resultant, sigma_invariants
 from dynres.conjugacy_twists import _search_witness
 from dynres.morphism_space import monomials
 
@@ -116,6 +117,23 @@ def retired_bucket_twists(models, budget, sigmas=None) -> list[TwistBucket]:
             for i in reversed(hits[1:]):
                 merged.extend(classes.pop(i))
     return [TwistBucket(key, tuple(tuple(cls) for cls in groups[key])) for key in sorted(groups)]
+
+
+# retired n >= 2 reduction search, moved verbatim from reduction_theory and
+# kept as an oracle: the tree walk must never be beaten by a diagonal move
+def search_moves(n: int, p: int, budget: SearchBudget):
+    """Diagonal p-power scalings diag(1, p^a_1, ..., p^a_n) with |a_i| <= 2 a_max.
+
+    Each is yielded as a primitive integer matrix (exponents shifted to be
+    non-negative with one of them 0), smallest max |a_i| first.
+    """
+    amp = 2 * budget.a_max
+    tails = itertools.product(range(-amp, amp + 1), repeat=n)
+    for tail in sorted(tails, key=lambda t: (max(abs(a) for a in t), t)):
+        if all(a == 0 for a in tail):
+            continue
+        diag = [a - min(0, *tail) for a in (0,) + tail]
+        yield tuple(tuple(p**a if i == j else 0 for j in range(n + 1)) for i, a in enumerate(diag))
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from conftest import bq, twist, z_squared
+from conftest import binary, bq, twist, z_squared
 from dynres.cli import main
 
 
@@ -59,17 +59,20 @@ def test_invariants_z_squared(tmp_path, capsys):
     assert abs(payload["moduli_height"] - 0.693147180560) < 1e-11
 
 
-def test_invariants_proxy(tmp_path, capsys):
+def test_invariants_and_reduce_refuse_other_shapes(tmp_path, capsys):
     from dynres import MorphismModel
 
+    # [X^2 : Y^2 : Z^2] has resultant 1, so no bad prime hides the refusal
     m = MorphismModel.from_coeff_lists(2, 2, [[1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 1]])
     path = _write_model(tmp_path, "p.json", m)
-    code, out = _run(capsys, ["invariants", path])
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["kind"] == "coefficient_proxy"
-    assert payload["sigma1"] is None and payload["moduli_point"] is None
-    assert payload["moduli_height"] == 0.0
+    for command in ("invariants", "reduce"):
+        code, out = _run(capsys, [command, path])
+        assert code == 2
+        assert json.loads(out)["error"] == "invalid-argument"
+    cubic = _write_model(tmp_path, "c.json", binary(3, [1, 0, 0, 0], [0, 0, 0, 1]))
+    code, out = _run(capsys, ["invariants", cubic])
+    assert code == 2
+    assert json.loads(out)["error"] == "invalid-argument"
 
 
 def test_twist_test_conjugate(tmp_path, capsys):

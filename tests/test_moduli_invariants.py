@@ -155,7 +155,6 @@ def test_sigma_chart_independence(rng):
 
 def test_moduli_height_z_squared():
     mp = moduli_height(z_squared())
-    assert mp.kind == "sigma_invariants"
     assert mp.point == (2, 0, 1)
     assert mp.mult_height == 2
     assert mp.height == math.log(2)
@@ -166,12 +165,10 @@ def test_moduli_height_common_across_twists():
     assert heights == {3}  # sigma = (3, 3) -> [3 : 3 : 1]
 
 
-def test_moduli_height_proxy():
+def test_moduli_height_refuses_other_shapes():
     m = MorphismModel.from_coeff_lists(2, 2, [[1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 1]])
-    mp = moduli_height(m)
-    assert mp.kind == "coefficient_proxy"
-    assert mp.sigma is None and mp.point is None
-    assert mp.mult_height == 1 and mp.height == 0.0
+    with pytest.raises(InvalidArgumentError):
+        moduli_height(m)
 
 
 def test_moduli_height_rejects_degenerate():

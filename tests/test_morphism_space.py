@@ -177,6 +177,11 @@ def test_json_schema_violations():
         {**good, "n": "1"},
         {"n": 1, "d": 2},
         {"n": 1, "d": -1, "forms": [[["0,0", "1"]], []]},
+        # only "a" or "a/b" in ASCII digits: no exponent, point, underscore or other digit
+        {"n": 1, "d": 2, "forms": [[["2,0", "1e5"]], [["1,1", "1"]]]},
+        {"n": 1, "d": 2, "forms": [[["2,0", "1.5"]], [["1,1", "1"]]]},
+        {"n": 1, "d": 2, "forms": [[["2,0", "1_000"]], [["1,1", "1"]]]},
+        {"n": 1, "d": 2, "forms": [[["2,0", "\u0661"]], [["1,1", "1"]]]},
     ):
         with pytest.raises(SchemaError):
             MorphismModel.from_json(corrupt)

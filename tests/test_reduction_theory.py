@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import binary, bq, random_morphism, twist, z_squared
+from conftest import binary, bq, random_morphism, search_moves, twist, z_squared
 from dynres import (
     FactoredIdeal,
     InvalidArgumentError,
     LinearMap,
     LocalExponent,
+    MorphismModel,
     NotAMorphismError,
     SearchBudget,
     conjugate,
@@ -26,7 +27,7 @@ from dynres import (
     valuation,
 )
 from dynres import reduction_theory
-from dynres.reduction_theory import ZERO_BUDGET, conjugated_exponent, exponent_step, search_moves
+from dynres.reduction_theory import ZERO_BUDGET, conjugated_exponent, exponent_step
 
 
 def test_local_exponent_examples():
@@ -181,6 +182,23 @@ def test_has_good_reduction():
     assert has_good_reduction(z_squared(), 3, budget) == "good_certified"
     assert has_good_reduction(twist(2), 2, budget) == "bad_upper_bound"
     assert has_good_reduction(binary(2, [4, 0, 0], [0, 0, 1]), 2, budget) == "good_certified"
+
+
+def test_reduction_refuses_other_n():
+    budget = default_budget(2)
+    point = MorphismModel.from_coeff_lists(0, 2, [[3]])  # Res = 3, so a prime to minimize
+    unit = MorphismModel.from_coeff_lists(2, 2, [[1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 1]])
+    # Res = 0: the shape is refused before any resultant is computed
+    degenerate = MorphismModel.from_coeff_lists(2, 2, [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]])
+    for model in (point, unit, degenerate):
+        for call in (
+            lambda: reduction_report(model, budget),
+            lambda: minimize_exponent(model, 3, budget),
+            lambda: has_good_reduction(model, 3, budget),
+        ):
+            with pytest.raises(InvalidArgumentError) as excinfo:
+                call()
+            assert excinfo.value.code == "invalid-argument"
 
 
 def test_s_b_primes():
