@@ -35,7 +35,6 @@ from .exact_arithmetic import (
     INFINITY,
     FactoredIdeal,
     factor_integer,
-    ideal_norm,
     is_prime,
     primes_up_to,
     rational_from_string,

@@ -6,6 +6,9 @@ route: one elimination modulo a product of word-sized primes that exceeds
 twice the Hadamard bound, then a balanced sign lift.  When a pivot is not a
 unit modulo that product, each prime is eliminated on its own and the
 residues are CRT-combined.
+
+One cofactor loop gives the adjugate over Z (Bareiss minors) and over Q
+(det_exact minors), and the exact inverse is adj(M) / det(M).
 """
 
 from __future__ import annotations
@@ -212,50 +215,30 @@ def mat_minor(matrix, i: int, j: int):
     return [[row[c] for c in range(len(row)) if c != j] for r, row in enumerate(matrix) if r != i]
 
 
-def mat_adjugate(matrix):
-    """Adjugate (transposed cofactor matrix); adj(M) * M = det(M) * I."""
+def _adjugate(matrix, det):
+    """Transposed cofactor matrix, each cofactor a det of a minor; adj(M) * M = det(M) * I."""
     n = _require_square(matrix)
-    if n == 1:
-        return [[1]]
     adj = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            cof = det_exact(mat_minor(matrix, i, j))
-            if (i + j) % 2:
-                cof = -cof
-            adj[j][i] = cof
+            cof = det(mat_minor(matrix, i, j))
+            adj[j][i] = -cof if (i + j) % 2 else cof
     return adj
+
+
+def mat_adjugate(matrix):
+    """Adjugate of an int/Fraction matrix, with Fraction entries."""
+    return _adjugate(matrix, det_exact)
 
 
 def mat_adjugate_int(matrix: list[list[int]]) -> list[list[int]]:
     """Adjugate of an integer matrix, staying in Z."""
-    n = _require_square(matrix)
-    if n == 1:
-        return [[1]]
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            cof = det_bareiss_int(mat_minor(matrix, i, j))
-            if (i + j) % 2:
-                cof = -cof
-            adj[j][i] = cof
-    return adj
+    return _adjugate(matrix, det_bareiss_int)
 
 
 def mat_inverse(matrix):
-    """Exact inverse over Q (Gauss-Jordan); raises on a singular input."""
-    n = _require_square(matrix)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if pivot_row is None:
-            raise InvalidArgumentError("matrix is singular")
-        a[k], a[pivot_row] = a[pivot_row], a[k]
-        pivot = a[k][k]
-        a[k] = [x / pivot for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k] != 0:
-                lead = a[i][k]
-                a[i] = [x - lead * y for x, y in zip(a[i], a[k])]
-    return [row[n:] for row in a]
-
+    """Exact inverse over Q as adj(M) / det(M); raises on a singular input."""
+    det = det_exact(matrix)
+    if det == 0:
+        raise InvalidArgumentError("matrix is singular")
+    return [[x / det for x in row] for row in mat_adjugate(matrix)]

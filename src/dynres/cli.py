@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .census import CensusConfig, load_records, render_report, run_census, summarize_records
@@ -83,12 +84,10 @@ def _parse_budget(text: str | None, d: int) -> SearchBudget:
     if text is None:
         return default_budget(d)
     parts = text.split(",")
-    try:
-        nums = [int(p) for p in parts]
-    except ValueError as exc:
-        raise SchemaError(f"bad --budget value {text!r}; expected AMAX[,DEPTH[,MBOUND]]") from exc
-    if not 1 <= len(nums) <= 3:
+    # ASCII integers only; a negative one reaches SearchBudget's refusal
+    if not 1 <= len(parts) <= 3 or not all(re.fullmatch(r"-?[0-9]+", p) for p in parts):
         raise SchemaError(f"bad --budget value {text!r}; expected AMAX[,DEPTH[,MBOUND]]")
+    nums = [int(p) for p in parts]
     defaults = default_budget(d)
     depth = nums[1] if len(nums) > 1 else defaults.translation_depth
     mbound = nums[2] if len(nums) > 2 else defaults.matrix_bound

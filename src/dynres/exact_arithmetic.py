@@ -134,6 +134,7 @@ class FactoredIdeal:
         return tuple(p for p, _ in self.factors)
 
     def norm(self) -> int:
+        """Product of p**e over the factors; 1 for the unit ideal."""
         n = 1
         for p, e in self.factors:
             n *= p**e
@@ -147,11 +148,6 @@ class FactoredIdeal:
 
     def to_json(self) -> dict[str, int]:
         return {str(p): e for p, e in self.factors}
-
-
-def ideal_norm(ideal: FactoredIdeal) -> int:
-    """Product of p**e over the factors; 1 for the unit ideal."""
-    return ideal.norm()
 
 
 def _pollard_rho(n: int, seed: int) -> int:

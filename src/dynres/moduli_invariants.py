@@ -9,7 +9,7 @@ every other shape with InvalidArgumentError.
 
 Quadratic sigma.  sigma_i = P_i / Res, where P_i is a fixed integer form of
 degree 4 in the coefficients (a0, a1, a2; b0, b1, b2) of phi0 and phi1
-(SIGMA_NUMERATORS) and Res is the resultant.  Both are evaluated on the
+(_sigma_numerators) and Res is the resultant.  Both are evaluated on the
 primitive integer model; sigma is homogeneous of degree 0, so the scaling
 does not matter.  With f = p0 - z*p1 and lambda_j = 1 + f'/p1 at the fixed
 points,
@@ -54,18 +54,6 @@ from .errors import DegenerateInputError, InvalidArgumentError, NotAMorphismErro
 from .exact_arithmetic import primitive_integers
 from .morphism_space import HomogeneousForm, MorphismModel
 from .resultants import nonzero_resultant
-
-# P1, P2, P3 of the module docstring, in the coefficients (a0, a1, a2) of phi0
-# and (b0, b1, b2) of phi1 at (X^2, XY, Y^2)
-SIGMA_NUMERATORS = (
-    "4 a0^2 a2 b1 + 2 a0^2 b2^2 - a0 a1^2 b1 - 4 a0 a1 a2 b0 + 4 a0 a2 b0 b2 - 2 a0 a2 b1^2 + a1^3 b0"
-    " - 2 a1^2 b0 b2 + 4 a1 a2 b0 b1 + 4 a1 b0 b2^2 - a1 b1^2 b2 - 6 a2^2 b0^2 - 4 a2 b0 b1 b2 + a2 b1^3",
-    "4 a0^3 a2 - a0^2 a1^2 + 2 a0^2 a1 b2 - 4 a0^2 a2 b1 + 10 a0 a1 a2 b0 - a0 a1 b1 b2 - 4 a0 a2 b0 b2"
-    " + 5 a0 a2 b1^2 + 2 a0 b1 b2^2 - 2 a1^3 b0 + 5 a1^2 b0 b2 - a1^2 b1^2 - 7 a1 a2 b0 b1 - 4 a1 b0 b2^2"
-    " + 12 a2^2 b0^2 + 10 a2 b0 b1 b2 - 2 a2 b1^3 + 4 b0 b2^3 - b1^2 b2^2",
-    "4 a0^2 a2 b1 - a0 a1^2 b1 - 4 a0 a1 a2 b0 + 2 a0 a1 b1 b2 + 8 a0 a2 b0 b2 - 4 a0 a2 b1^2 + a1^3 b0"
-    " - 4 a1^2 b0 b2 + 6 a1 a2 b0 b1 + 4 a1 b0 b2^2 - a1 b1^2 b2 - 8 a2^2 b0^2 - 4 a2 b0 b1 b2 + a2 b1^3",
-)
 
 
 @dataclass(frozen=True, slots=True)
@@ -288,28 +276,28 @@ def sigma_invariants(model: MorphismModel) -> tuple[Fraction, Fraction]:
     return (s1, s2)
 
 
-def _quartic_terms(text: str) -> tuple[tuple[int, int, int, int, int], ...]:
-    """(c, i, j, k, l) for each term c * v_i v_j v_k v_l of a form written as in SIGMA_NUMERATORS.
+def _sigma_numerators(a0, a1, a2, b0, b1, b2):
+    """(P1, P2, P3) of the module docstring for phi0 = (a0, a1, a2) and phi1 = (b0, b1, b2) at (X^2, XY, Y^2).
 
-    v = (a0, a1, a2, b0, b1, b2).
+    Plain ring arithmetic: the census runs it on ints, and the test suite on sympy symbols.
     """
-    names = ("a0", "a1", "a2", "b0", "b1", "b2")
-    terms = []
-    sign, coeff, factors = 1, 1, []
-    for token in text.split() + ["+"]:
-        if token in ("+", "-"):
-            if factors:
-                terms.append((sign * coeff, *factors))
-            sign, coeff, factors = (1 if token == "+" else -1), 1, []
-        elif token.isdigit():
-            coeff = int(token)
-        else:
-            name, _, power = token.partition("^")
-            factors += [names.index(name)] * int(power or 1)
-    return tuple(terms)
-
-
-_SIGMA_TERMS = tuple(_quartic_terms(text) for text in SIGMA_NUMERATORS)
+    p1 = (
+        4 * a0**2 * a2 * b1 + 2 * a0**2 * b2**2 - a0 * a1**2 * b1 - 4 * a0 * a1 * a2 * b0 + 4 * a0 * a2 * b0 * b2
+        - 2 * a0 * a2 * b1**2 + a1**3 * b0 - 2 * a1**2 * b0 * b2 + 4 * a1 * a2 * b0 * b1 + 4 * a1 * b0 * b2**2
+        - a1 * b1**2 * b2 - 6 * a2**2 * b0**2 - 4 * a2 * b0 * b1 * b2 + a2 * b1**3
+    )
+    p2 = (
+        4 * a0**3 * a2 - a0**2 * a1**2 + 2 * a0**2 * a1 * b2 - 4 * a0**2 * a2 * b1 + 10 * a0 * a1 * a2 * b0
+        - a0 * a1 * b1 * b2 - 4 * a0 * a2 * b0 * b2 + 5 * a0 * a2 * b1**2 + 2 * a0 * b1 * b2**2 - 2 * a1**3 * b0
+        + 5 * a1**2 * b0 * b2 - a1**2 * b1**2 - 7 * a1 * a2 * b0 * b1 - 4 * a1 * b0 * b2**2 + 12 * a2**2 * b0**2
+        + 10 * a2 * b0 * b1 * b2 - 2 * a2 * b1**3 + 4 * b0 * b2**3 - b1**2 * b2**2
+    )
+    p3 = (
+        4 * a0**2 * a2 * b1 - a0 * a1**2 * b1 - 4 * a0 * a1 * a2 * b0 + 2 * a0 * a1 * b1 * b2 + 8 * a0 * a2 * b0 * b2
+        - 4 * a0 * a2 * b1**2 + a1**3 * b0 - 4 * a1**2 * b0 * b2 + 6 * a1 * a2 * b0 * b1 + 4 * a1 * b0 * b2**2
+        - a1 * b1**2 * b2 - 8 * a2**2 * b0**2 - 4 * a2 * b0 * b1 * b2 + a2 * b1**3
+    )
+    return p1, p2, p3
 
 
 def sigma_invariants_full(model: MorphismModel) -> tuple[Fraction, Fraction, Fraction]:
@@ -318,12 +306,8 @@ def sigma_invariants_full(model: MorphismModel) -> tuple[Fraction, Fraction, Fra
         raise InvalidArgumentError("sigma invariants are implemented for n = 1, d = 2")
     # integers, not the model's Fractions: the forms evaluate about 40 times faster
     v = primitive_integers(model.all_coeffs())
-    return _quadratic_sigma(v, nonzero_resultant(MorphismModel.from_coeff_lists(1, 2, [v[:3], v[3:]])))
-
-
-def _quadratic_sigma(v: tuple[int, ...], res) -> tuple[Fraction, Fraction, Fraction]:
-    """(P1, P2, P3) / res for primitive coefficients v and their nonzero resultant res."""
-    return tuple(sum(c * v[i] * v[j] * v[k] * v[l] for c, i, j, k, l in terms) / res for terms in _SIGMA_TERMS)
+    res = nonzero_resultant(MorphismModel.from_coeff_lists(1, 2, [v[:3], v[3:]]))
+    return tuple(p / res for p in _sigma_numerators(*v))
 
 
 def _sigma_point(s1: Fraction, s2: Fraction) -> ModuliPoint:
@@ -337,8 +321,8 @@ def _primitive_moduli_height(model: MorphismModel, res) -> ModuliPoint:
     """moduli_height of a primitive quadratic model on P^1 whose resultant res is already known."""
     if model.n != 1 or model.d != 2:
         raise InvalidArgumentError("sigma invariants are implemented for n = 1, d = 2")
-    s1, s2, _ = _quadratic_sigma(primitive_integers(model.all_coeffs()), res)
-    return _sigma_point(s1, s2)
+    p1, p2, _ = _sigma_numerators(*primitive_integers(model.all_coeffs()))
+    return _sigma_point(p1 / res, p2 / res)
 
 
 def moduli_height(model: MorphismModel) -> ModuliPoint:

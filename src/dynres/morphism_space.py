@@ -8,6 +8,7 @@ reads (X^2, XY, Y^2).  All values are immutable; operations are pure.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -40,6 +41,8 @@ def monomials(n: int, d: int) -> tuple[MultiIndex, ...]:
 def monomial_index(n: int, d: int) -> dict[MultiIndex, int]:
     return {m: i for i, m in enumerate(monomials(n, d))}
 
+
+_MULTI_INDEX = re.compile(r"[0-9]+(,[0-9]+)*")  # what to_json writes: ASCII digits, no sign or space
 
 _SHARED_LIMIT = 1 << 10
 _SHARED: dict[int, Fraction] = {}
@@ -166,11 +169,10 @@ class MorphismModel:
                 if not (isinstance(entry, list) and len(entry) == 2):
                     raise SchemaError("form entries must be [\"i0,...,in\", \"a/b\"] pairs")
                 key_s, val_s = entry
-                try:
-                    exps = tuple(int(t) for t in str(key_s).split(","))
-                except ValueError as exc:
-                    raise SchemaError(f"bad multi-index {key_s!r}") from exc
-                if len(exps) != n + 1 or any(e < 0 for e in exps) or sum(exps) != d:
+                if _MULTI_INDEX.fullmatch(str(key_s)) is None:
+                    raise SchemaError(f"bad multi-index {key_s!r}")
+                exps = tuple(map(int, str(key_s).split(",")))
+                if len(exps) != n + 1 or sum(exps) != d:
                     raise SchemaError(f"multi-index {key_s!r} does not have weight {d} in {n + 1} variables")
                 if exps in terms:
                     raise SchemaError(f"duplicate multi-index {key_s!r}")

@@ -93,6 +93,21 @@ def test_twist_test_unknown(tmp_path, capsys):
     assert json.loads(out) == {"status": "unknown", "witness": None}
 
 
+def test_budget_spelling(tmp_path, capsys):
+    path = _write_model(tmp_path, "t8.json", twist(8))
+    code, out = _run(capsys, ["reduce", path, "--budget", "4,2,2"])
+    assert code == 0 and json.loads(out)["norm"] == "2"
+    # each part is ASCII digits with an optional minus: int() would read 4_0 as 40 and 3_0 as 30
+    for budget in ("4_0", "\u0664", " 4", "+4", "4,2,3_0", "4, 2", "", "4,2,2,2"):
+        code, out = _run(capsys, ["reduce", path, f"--budget={budget}"])
+        assert code == 2
+        assert json.loads(out)["error"] == "schema-violation"
+    # a negative value is well spelled and reaches the budget's own refusal
+    code, out = _run(capsys, ["reduce", path, "--budget=4,-1"])
+    assert code == 2
+    assert json.loads(out)["error"] == "invalid-argument"
+
+
 def test_unknown_flag_is_validation_error(tmp_path, capsys):
     code, out = _run(capsys, ["resultant", "--frobnicate"])
     assert code == 2

@@ -23,12 +23,12 @@ from dynres import (
 )
 from dynres._matrix import identity, mat_inverse, mat_mul
 from dynres.moduli_invariants import (
-    _SIGMA_TERMS,
     _affine_multiplier,
     _poly_deriv,
     _poly_mul,
     _poly_sub,
     _poly_trim,
+    _sigma_numerators,
     elementary_to_power_sums,
     power_sums_to_elementary,
 )
@@ -356,8 +356,8 @@ def test_sigma_numerators_expand_the_multiplier_polynomial():
     v = sympy.symbols("a0 a1 a2 b0 b1 b2")
     a0, a1, a2, b0, b1, b2 = v
     z, t = sympy.symbols("z t")
-    assert [len(terms) for terms in _SIGMA_TERMS] == [14, 19, 14]
-    P1, P2, P3 = (sum(c * v[i] * v[j] * v[k] * v[l] for c, i, j, k, l in terms) for terms in _SIGMA_TERMS)
+    P1, P2, P3 = _sigma_numerators(*v)
+    assert [len(sympy.Add.make_args(sympy.expand(P))) for P in (P1, P2, P3)] == [14, 19, 14]
     p0, p1 = a0 * z**2 + a1 * z + a2, b0 * z**2 + b1 * z + b2
     f = sympy.expand(p0 - z * p1)
     res = sympy.resultant(p0, p1, z)

@@ -185,6 +185,12 @@ def test_json_schema_violations():
     ):
         with pytest.raises(SchemaError):
             MorphismModel.from_json(corrupt)
+    # a multi-index is ASCII digits joined by commas: no space, sign, underscore or other digit
+    assert MorphismModel.from_json({"n": 1, "d": 2, "forms": [[["2,0", "1"]], [["0,2", "1"]]]}) == z_squared()
+    for key in (" 2,0", "\u0662,0", "0_2,0", "+2,0", "2,-0", "2, 0"):
+        with pytest.raises(SchemaError) as excinfo:
+            MorphismModel.from_json({"n": 1, "d": 2, "forms": [[[key, "1"]], [["0,2", "1"]]]})
+        assert excinfo.value.code == "schema-violation"
     # a negative degree with no entries to check reaches the monomial table
     with pytest.raises(InvalidArgumentError) as excinfo:
         MorphismModel.from_json({"n": 1, "d": -1, "forms": [[], []]})
