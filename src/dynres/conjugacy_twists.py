@@ -17,12 +17,11 @@ the same question from the other side, and the answers agree:
 - conj(conj(psi, F), adj F) = det(F)^(d+1) * psi, since F * adj F = det(F) * I.
 
 So some candidate sends psi to phi exactly when some candidate sends phi to
-psi.  bucket_twists therefore keeps, for each class, the orbit of its first
-member: the primitive keys of its conjugates by the candidates tried so far.
-A new model belongs to the class iff its own primitive key lies in that
-orbit, and the orbit grows one candidate at a time only while the key is
-missing.  Each class then costs at most one conjugation per candidate, not
-one search per new member.
+psi.  bucket_twists asks it from the first member R of each class towards a
+new model's primitive key K.  As F * adj F = det(F) * I, conj(R, F) is a
+multiple of K iff R(F x) = c * F * K(x) at x = (1, 0), (0, 1), (1, 1) for
+one c: a pair of binary quadratics that vanishes at three points is zero.
+That check comes first, and the conjugation kernel proves each F it passes.
 """
 
 from __future__ import annotations
@@ -127,33 +126,40 @@ def conjugacy_test(phi: MorphismModel, psi: MorphismModel, budget: SearchBudget)
     return ConjugacyVerdict(UNKNOWN)
 
 
+def _three_point_check(fmat, rows, key: tuple[int, ...]) -> bool:
+    """True iff conj(rows, fmat) is a multiple of key, read at three points (module docstring)."""
+    (a, b), (c, d) = fmat
+    (r0, r1, r2), (s0, s1, s2) = rows
+    k0, k1, k2, k3, k4, k5 = key
+    pairs = []  # (a coordinate of R(F x), the same coordinate of F * K(x))
+    for x, y, u, v in ((a, c, k0, k3), (b, d, k2, k5), (a + b, c + d, k0 + k1 + k2, k3 + k4 + k5)):
+        xx, xy, yy = x * x, x * y, y * y
+        p, q, u, v = r0 * xx + r1 * xy + r2 * yy, s0 * xx + s1 * xy + s2 * yy, a * u + b * v, c * u + d * v
+        if p * v != q * u:
+            return False
+        pairs += ((p, u), (q, v))
+    p0, u0 = next(pair for pair in pairs if pair[1])
+    return all(p * u0 == p0 * u for p, u in pairs)
+
+
 class _TwistClass:
-    """The members of one proven class, and its first member's witness orbit.
+    """The members of one proven class, and its first member's primitive coefficient rows."""
 
-    ``orbit`` holds the primitive keys of the first member and of its
-    conjugates by the first ``tried`` witness candidates.
-    """
-
-    __slots__ = ("members", "rows", "orbit", "tried")
+    __slots__ = ("members", "rows")
 
     def __init__(self, model: MorphismModel, key: tuple[int, ...]):
         self.members = [model]
         self.rows = [key[:3], key[3:]]
-        self.orbit = {key}
-        self.tried = 0
 
     def reaches(self, key: tuple[int, ...], budget: SearchBudget) -> bool:
-        """True iff a candidate sends the first member to key; the orbit grows only until it does."""
-        if key in self.orbit:
+        """True iff key is the first member's, or a witness candidate sends the first member to it."""
+        if [key[:3], key[3:]] == self.rows:
             return True
-        candidates = _witness_candidates(budget.matrix_bound)
-        while self.tried < len(candidates):
-            conj = conjugate_integer_rows(self.rows, 1, 2, candidates[self.tried])
-            self.tried += 1
-            image = primitive_integers(conj[0] + conj[1])
-            self.orbit.add(image)
-            if image == key:
-                return True
+        for fmat in _witness_candidates(budget.matrix_bound):
+            if _three_point_check(fmat, self.rows, key):
+                conj = conjugate_integer_rows(self.rows, 1, 2, fmat)
+                if primitive_integers(conj[0] + conj[1]) == key:
+                    return True
         return False
 
 
@@ -166,11 +172,9 @@ def bucket_twists(models, budget: SearchBudget, sigmas=None) -> list[TwistBucket
     Models are taken in canonical order.  A new model joins every class of
     its group whose first member it is conjugate to by a witness candidate,
     and the classes it joins merge into the first of them.  Each class
-    answers from its first member's orbit, grown lazily, rather than
-    searching from the new model; the two questions have the same answer
-    (module docstring).  So a class costs at most one conjugation per
-    candidate, however many models it is asked about, and a model equal to a
-    first member up to scaling costs none.
+    answers from its first member (module docstring): one check per
+    candidate and one conjugation per candidate that passes, and none for a
+    model equal to the first member up to scaling.
     """
     models = list(models)
     for model in models:
@@ -187,7 +191,7 @@ def bucket_twists(models, budget: SearchBudget, sigmas=None) -> list[TwistBucket
         if not hits:
             classes.append(_TwistClass(model, key))
         else:
-            # the new model links every hit class into one, which keeps the first one's orbit
+            # the new model links every hit class into one, which keeps the first one's first member
             merged = classes[hits[0]]
             merged.members.append(model)
             for i in reversed(hits[1:]):

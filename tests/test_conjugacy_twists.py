@@ -173,7 +173,7 @@ def test_bucket_twists_rejects_sigmas_of_another_length():
         assert exc.value.code == "invalid-argument"
 
 
-# --- the orbit bucketing against the retired pairwise loop ---------------------
+# --- the three-point bucketing against the retired pairwise loop ---------------
 
 
 @lru_cache(maxsize=None)
@@ -293,3 +293,55 @@ def test_bucket_twists_needs_no_conjugation_for_scalar_multiples(conjugation_cou
         buckets = bucket_twists(models, BUDGET)
         assert [len(b.classes) for b in buckets] == [1]
     assert conjugation_counter == {"conjugations": 0, "classes": 2}
+
+
+def _primitive_rows(model: MorphismModel) -> list[tuple]:
+    key = primitive_integers(model.all_coeffs())
+    return [key[:3], key[3:]]
+
+
+def _kernel_key(rows, fmat) -> tuple:
+    conj = conjugacy_twists.conjugate_integer_rows(rows, 1, 2, fmat)
+    return primitive_integers(conj[0] + conj[1])
+
+
+def test_three_point_check_accepts_every_witness():
+    rng = random.Random(7)
+    candidates = conjugacy_twists._witness_candidates(2)
+    for _ in range(30):
+        rows = _primitive_rows(random_morphism(rng, 1, 2, bound=2))
+        for fmat in candidates:
+            assert conjugacy_twists._three_point_check(fmat, rows, _kernel_key(rows, fmat))
+
+
+def test_three_point_check_agrees_with_the_kernel():
+    # keys: a conjugate by a matrix with entries up to 3, conjugates by three candidates, an unrelated model
+    rng = random.Random(81)
+    candidates = conjugacy_twists._witness_candidates(2)
+    models = _conjugated_models(23)
+    accepted = rejected = 0
+    for phi, psi in zip(models[::4], models[1::4]):
+        rows = _primitive_rows(phi)
+        images = [_kernel_key(rows, fmat) for fmat in candidates]
+        keys = [primitive_integers(psi.all_coeffs()), *rng.sample(images, 3)]
+        keys.append(primitive_integers(random_morphism(rng, 1, 2, bound=2).all_coeffs()))
+        for key in keys:
+            for fmat, image in zip(candidates, images):
+                passes = conjugacy_twists._three_point_check(fmat, rows, key)
+                assert passes == (image == key)
+                accepted, rejected = accepted + passes, rejected + (not passes)
+    assert accepted >= 30 and rejected > 0
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3])
+@pytest.mark.parametrize("family", ["h1", "conjugates", "twists", "scaled"])
+def test_bucket_twists_conjugates_once_per_hit(conjugation_counter, family, bound):
+    if family == "h1":
+        models, sigmas = zip(*_h1_b8_members())
+    else:
+        models = {"conjugates": _conjugated_models(14), "twists": _twist_family(), "scaled": _scaled_duplicates()}[family]
+        sigmas = None
+    buckets = bucket_twists(models, SearchBudget(4, 2, bound), sigmas)
+    # a conjugation proves a hit, and each hit either adds a model to a class or merges two classes
+    classes = sum(len(b.classes) for b in buckets)
+    assert conjugation_counter["conjugations"] <= len(models) - classes
