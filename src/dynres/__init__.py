@@ -43,11 +43,9 @@ from .exact_arithmetic import (
 )
 from .moduli_invariants import (
     ModuliPoint,
-    MultiplierSpectrum,
     fixed_point_form,
     moduli_height,
     multiplier_power_sums,
-    multiplier_spectrum,
     sigma_invariants,
     sigma_invariants_full,
 )

@@ -67,7 +67,11 @@ def _emit(obj) -> None:
 
 def _read_payload(path: str):
     try:
-        text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     try:

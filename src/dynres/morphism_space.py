@@ -169,15 +169,18 @@ class MorphismModel:
                 if not (isinstance(entry, list) and len(entry) == 2):
                     raise SchemaError("form entries must be [\"i0,...,in\", \"a/b\"] pairs")
                 key_s, val_s = entry
-                if _MULTI_INDEX.fullmatch(str(key_s)) is None:
+                # JSON strings only, as to_json writes them; a JSON number is neither spelling
+                if not isinstance(key_s, str) or _MULTI_INDEX.fullmatch(key_s) is None:
                     raise SchemaError(f"bad multi-index {key_s!r}")
-                exps = tuple(map(int, str(key_s).split(",")))
+                if not isinstance(val_s, str):
+                    raise SchemaError(f"coefficient {val_s!r} is not a string 'a' or 'a/b'")
+                exps = tuple(map(int, key_s.split(",")))
                 if len(exps) != n + 1 or sum(exps) != d:
                     raise SchemaError(f"multi-index {key_s!r} does not have weight {d} in {n + 1} variables")
                 if exps in terms:
                     raise SchemaError(f"duplicate multi-index {key_s!r}")
                 try:
-                    terms[exps] = rational_from_string(str(val_s))
+                    terms[exps] = rational_from_string(val_s)
                 except InvalidArgumentError as exc:
                     raise SchemaError(str(exc)) from exc
             forms.append(HomogeneousForm(n, d, tuple(terms.get(m, Fraction(0)) for m in monomials(n, d))))

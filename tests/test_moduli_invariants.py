@@ -5,7 +5,23 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from conftest import binary, bq, random_model, random_morphism, twist, z_squared
+from conftest import (
+    MultiplierSpectrum,
+    _affine_multiplier,
+    _poly_deriv,
+    _poly_mul,
+    _poly_sub,
+    _poly_trim,
+    binary,
+    bq,
+    oracle_multiplier_power_sums,
+    oracle_multiplier_spectrum,
+    power_sums_to_elementary,
+    random_model,
+    random_morphism,
+    twist,
+    z_squared,
+)
 from dynres import (
     DegenerateInputError,
     InvalidArgumentError,
@@ -22,16 +38,7 @@ from dynres import (
     sigma_invariants_full,
 )
 from dynres._matrix import identity, mat_inverse, mat_mul
-from dynres.moduli_invariants import (
-    _affine_multiplier,
-    _poly_deriv,
-    _poly_mul,
-    _poly_sub,
-    _poly_trim,
-    _sigma_numerators,
-    elementary_to_power_sums,
-    power_sums_to_elementary,
-)
+from dynres.moduli_invariants import _sigma_numerators, elementary_to_power_sums
 
 
 def test_fixed_point_form_examples():
@@ -67,8 +74,14 @@ def test_power_sums_triple_fixed_point_at_infinity():
 def test_power_sums_requires_morphism():
     with pytest.raises(NotAMorphismError):
         multiplier_power_sums(bq(0, 1, 0, 0, 0, 1), 2)
+    # quadratic maps of P^1 only: z^3 and a map of P^2 are refused, as sigma refuses them
+    cube = binary(3, [1, 0, 0, 0], [0, 0, 0, 1])
+    plane = MorphismModel.from_coeff_lists(2, 2, [[1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 1]])
+    for m in (cube, plane):
+        with pytest.raises(InvalidArgumentError):
+            multiplier_power_sums(m, 2)
     with pytest.raises(InvalidArgumentError):
-        multiplier_power_sums(MorphismModel.from_coeff_lists(2, 2, [[1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 1]]), 2)
+        multiplier_power_sums(z_squared(), -1)
 
 
 def test_power_sums_numeric_cross_check(rng):
@@ -111,17 +124,14 @@ def test_sigma_degree2_relation(rng):
 
 
 def test_multiplier_spectrum_type(rng):
-    from dynres import multiplier_spectrum
-    from dynres.moduli_invariants import MultiplierSpectrum
-
-    spec = multiplier_spectrum(z_squared())
+    spec = oracle_multiplier_spectrum(z_squared())
     assert spec.power_sums == (2, 4, 8)
     assert spec.elementary_symmetric == (2, 0, 0)
     # the elementary symmetric functions are derived: e1 = p1, e2 = (e1 p1 - p2) / 2
     assert MultiplierSpectrum((Fraction(1), Fraction(2))).elementary_symmetric == (1, Fraction(-1, 2))
     for _ in range(5):
         m = random_morphism(rng, 1, 2)
-        spec = multiplier_spectrum(m)
+        spec = oracle_multiplier_spectrum(m)
         assert len(spec.power_sums) == 3
         assert spec.elementary_symmetric[:2] == sigma_invariants(m)
 
@@ -288,7 +298,7 @@ def test_power_sums_match_companion_matrix_oracle(rng):
         fixpoly = _poly_trim([Fraction(c) for c in fixed_point_form(m).dehomogenized()])
         at_infinity += len(fixpoly) < m.d + 2
         shifts = []
-        assert multiplier_power_sums(m, m.d + 1) == companion_power_sums(m, m.d + 1, shifts=shifts)
+        assert oracle_multiplier_power_sums(m, m.d + 1) == companion_power_sums(m, m.d + 1, shifts=shifts)
         # gcd(p1^2, f) = gcd(p1^2, p0) for f = p0 - z p1: no morphism needs a shifted chart
         assert shifts == []
     assert at_infinity >= 6
@@ -299,7 +309,7 @@ def test_shared_fixed_root_is_not_a_morphism():
     m = bq(1, -1, 0, 1, 1, -2)
     assert macaulay_resultant(m).value == 0
     with pytest.raises(NotAMorphismError):
-        multiplier_power_sums(m, 3)
+        oracle_multiplier_power_sums(m, 3)
     monic = [Fraction(0), Fraction(-1), Fraction(0), Fraction(1)]  # -(fixed-point polynomial)
     assert _poly_trim([-c for c in fixed_point_form(m).dehomogenized()]) == monic
     with pytest.raises(NotAMorphismError):
@@ -320,7 +330,7 @@ def _times_linear(g, r):
 
 
 def test_fixed_point_morphism_test_matches_resultant(rng):
-    # multiplier_power_sums decides "morphism" from the fixed points alone:
+    # the oracle multiplier route decides "morphism" from the fixed points alone:
     # it must refuse exactly the models whose resultant vanishes
     models = [bq(*t) for t in itertools.product((-1, 0, 1), repeat=6) if any(t)]
     shaped = []
@@ -341,13 +351,13 @@ def test_fixed_point_morphism_test_matches_resultant(rng):
         for k in (0, m.d + 1):
             if zero:
                 with pytest.raises(NotAMorphismError) as info:
-                    multiplier_power_sums(m, k)
+                    oracle_multiplier_power_sums(m, k)
                 assert str(info.value) == "resultant vanishes; not a morphism"
             else:
-                assert len(multiplier_power_sums(m, k)) == k
+                assert len(oracle_multiplier_power_sums(m, k)) == k
 
 
-# --- quadratic sigma as P_i / Res against the power-sum route -----------------
+# --- quadratic sigma as P_i / Res against the oracle multiplier route --------
 
 
 def test_sigma_numerators_expand_the_multiplier_polynomial():
@@ -371,7 +381,7 @@ def test_sigma_numerators_expand_the_multiplier_polynomial():
 
 
 def _sigma_by_power_sums(model):
-    return tuple(power_sums_to_elementary(multiplier_power_sums(model, 3)))
+    return tuple(power_sums_to_elementary(oracle_multiplier_power_sums(model, 3)))
 
 
 def test_quadratic_sigma_matches_power_sums(rng):
@@ -393,6 +403,10 @@ def test_quadratic_sigma_matches_power_sums(rng):
     for m in box + rationals + multiple:
         assert sigma_invariants_full(m) == _sigma_by_power_sums(m)
         assert sigma_invariants_full(m.scale(Fraction(-3, 7))) == sigma_invariants_full(m)
+        # Newton's identities on sigma give the oracle's p_1..p_k, for k = 0..6
+        expected = oracle_multiplier_power_sums(m, 6)
+        for k in range(7):
+            assert multiplier_power_sums(m, k) == expected[:k]
     assert sigma_invariants_full(multiple[0]) == (2, 1, 0)  # multipliers 1, 1, 0
 
 

@@ -182,6 +182,9 @@ def test_json_schema_violations():
         {"n": 1, "d": 2, "forms": [[["2,0", "1.5"]], [["1,1", "1"]]]},
         {"n": 1, "d": 2, "forms": [[["2,0", "1_000"]], [["1,1", "1"]]]},
         {"n": 1, "d": 2, "forms": [[["2,0", "\u0661"]], [["1,1", "1"]]]},
+        # multi-indices and coefficients are JSON strings, not numbers
+        {"n": 1, "d": 2, "forms": [[["2,0", 1]], [["1,1", "1"]]]},
+        {"n": 0, "d": 2, "forms": [[[2, "1"]]]},
     ):
         with pytest.raises(SchemaError):
             MorphismModel.from_json(corrupt)
