@@ -22,9 +22,7 @@ from .conjugacy_twists import (
 from .errors import (
     CensusAssertionError,
     CensusConfigMismatchError,
-    DegenerateInputError,
     DynresError,
-    IndeterminatePointError,
     InvalidArgumentError,
     MalformedJsonError,
     NotAMorphismError,
@@ -43,7 +41,6 @@ from .exact_arithmetic import (
 )
 from .moduli_invariants import (
     ModuliPoint,
-    fixed_point_form,
     moduli_height,
     multiplier_power_sums,
     sigma_invariants,
@@ -53,9 +50,7 @@ from .morphism_space import (
     HomogeneousForm,
     LinearMap,
     MorphismModel,
-    coefficient_height,
     conjugate,
-    evaluate,
     min_coeff_valuation,
     monomials,
     normalize_primitive,
@@ -65,7 +60,6 @@ from .reduction_theory import (
     ReductionReport,
     SearchBudget,
     default_budget,
-    has_good_reduction,
     local_exponent,
     minimize_exponent,
     reduction_report,

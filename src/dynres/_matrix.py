@@ -23,22 +23,6 @@ def identity(n: int):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            x = ai[t]
-            if x == 0:
-                continue
-            bt = b[t]
-            for j in range(m):
-                oi[j] += x * bt[j]
-    return out
-
-
 def _require_square(m, allow_empty: bool = False):
     n = len(m)
     if n == 0 and not allow_empty:

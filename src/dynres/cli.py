@@ -15,10 +15,10 @@ import sys
 
 from .census import CensusConfig, load_records, render_report, run_census, summarize_records
 from .conjugacy_twists import conjugacy_test
-from .errors import DynresError, MalformedJsonError, SchemaError
+from .errors import DynresError, InvalidArgumentError, MalformedJsonError, SchemaError
 from .exact_arithmetic import rational_to_string
 from .moduli_invariants import moduli_height
-from .morphism_space import MorphismModel
+from .morphism_space import MorphismModel, _json_terms
 from .reduction_theory import SearchBudget, default_budget, reduction_report
 from .resultants import macaulay_resultant
 
@@ -80,8 +80,13 @@ def _read_payload(path: str):
         raise MalformedJsonError(f"input is not valid JSON: {exc}") from exc
 
 
-def _read_morphism(path: str) -> MorphismModel:
-    return MorphismModel.from_json(_read_payload(path))
+def _read_morphism(path: str, shape=(None, None), refusal: str = "") -> MorphismModel:
+    """The payload's model; an (n, d) outside shape (None: any) is refused before any form is expanded."""
+    payload = _read_payload(path)
+    n, d, _ = _json_terms(payload)
+    if shape[0] not in (None, n) or shape[1] not in (None, d):
+        raise InvalidArgumentError(refusal)
+    return MorphismModel.from_json(payload)
 
 
 def _parse_budget(text: str | None, d: int) -> SearchBudget:
@@ -106,13 +111,13 @@ def _cmd_resultant(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    model = _read_morphism(args.morphism)
+    model = _read_morphism(args.morphism, (1, None), "reduction is implemented for maps of P^1 (n = 1)")
     _emit(reduction_report(model, _parse_budget(args.budget, model.d)).to_json())
     return 0
 
 
 def _cmd_invariants(args) -> int:
-    model = _read_morphism(args.morphism)
+    model = _read_morphism(args.morphism, (1, 2), "sigma invariants are implemented for n = 1, d = 2")
     mp = moduli_height(model)
     _emit(
         {
@@ -127,8 +132,8 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_twist_test(args) -> int:
-    phi = _read_morphism(args.first)
-    psi = _read_morphism(args.second)
+    refusal = "conjugacy testing is implemented for n = 1, d = 2"
+    phi, psi = (_read_morphism(path, (1, 2), refusal) for path in (args.first, args.second))
     budget = _parse_budget(args.budget, phi.d)
     verdict = conjugacy_test(phi, psi, budget)
     _emit(

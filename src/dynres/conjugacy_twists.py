@@ -62,10 +62,6 @@ class TwistBucket:
     qbar_class_key: tuple[Fraction, Fraction]
     classes: tuple[tuple[MorphismModel, ...], ...]
 
-    @property
-    def unknown_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(itertools.combinations(range(len(self.classes)), 2))
-
 
 def quadratic_twist_model(b) -> MorphismModel:
     """The map z + b/z as the model [X^2 + b Y^2 : XY]."""
@@ -119,9 +115,9 @@ def conjugacy_test(phi: MorphismModel, psi: MorphismModel, budget: SearchBudget)
         return ConjugacyVerdict(CONJUGATE, witness=LinearMap.identity(1))
     witness = _search_witness(phi, psi, budget)
     if witness is not None:
-        # soundness: the witness must re-verify through the public conjugation
+        # soundness: the witness must re-verify; a failure is a kernel bug, so no DynresError
         if not conjugate(psi, witness).projectively_equal(phi):
-            raise InvalidArgumentError("witness failed re-verification")
+            raise RuntimeError("witness failed re-verification")
         return ConjugacyVerdict(CONJUGATE, witness=witness)
     return ConjugacyVerdict(UNKNOWN)
 

@@ -13,20 +13,10 @@ class InvalidArgumentError(DynresError, ValueError):
     code = "invalid-argument"
 
 
-class IndeterminatePointError(DynresError):
-    """All coordinate forms vanished at the evaluation point (Res = 0 case)."""
-
-    code = "indeterminate-point"
-
-
 class NotAMorphismError(DynresError):
     """The coefficient tuple has vanishing resultant and defines no morphism."""
 
     code = "not-a-morphism"
-
-
-class DegenerateInputError(DynresError):
-    code = "degenerate-input"
 
 
 class UnfactoredResidueError(DynresError):

@@ -122,14 +122,6 @@ class FactoredIdeal:
                 raise InvalidArgumentError("factors must be strictly ascending")
             last = p
 
-    @classmethod
-    def from_map(cls, factors: dict[int, int]) -> "FactoredIdeal":
-        return cls(tuple(sorted((int(p), int(e)) for p, e in factors.items() if e)))
-
-    @classmethod
-    def unit(cls) -> "FactoredIdeal":
-        return cls(())
-
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
@@ -139,12 +131,6 @@ class FactoredIdeal:
         for p, e in self.factors:
             n *= p**e
         return n
-
-    def mul(self, other: "FactoredIdeal") -> "FactoredIdeal":
-        merged = dict(self.factors)
-        for p, e in other.factors:
-            merged[p] = merged.get(p, 0) + e
-        return FactoredIdeal.from_map(merged)
 
     def to_json(self) -> dict[str, int]:
         return {str(p): e for p, e in self.factors}

@@ -23,8 +23,8 @@ morphism; the test suite expands it in sympy.  sigma_3 comes from its own P3,
 so sigma_3 = sigma_1 - 2 stays a check.  A vanishing resultant raises
 NotAMorphismError.
 
-The test suite keeps, in tests/conftest.py, a multiplier route for every
-degree d >= 2 that never forms sigma: it is the oracle of the formula above.
+The test suite keeps, in tests/conftest.py, Y*phi0 - X*phi1 and a multiplier
+route for every degree d >= 2 that never forms sigma: the formula's oracle.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateInputError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .exact_arithmetic import primitive_integers
-from .morphism_space import HomogeneousForm, MorphismModel
+from .morphism_space import MorphismModel
 from .resultants import nonzero_resultant
 
 
@@ -51,22 +51,6 @@ class ModuliPoint:
     point: tuple[int, int, int]
     mult_height: int
     height: float
-
-
-def _fixed_point_coeffs(model: MorphismModel) -> list:
-    """Y*phi0 - X*phi1 by shifting: (0, a_0, ..., a_d) - (b_0, ..., b_d, 0), lex-desc order."""
-    a, b = model.forms[0].coeffs, model.forms[1].coeffs
-    return [x - y for x, y in zip((0, *a), (*b, 0))]
-
-
-def fixed_point_form(model: MorphismModel) -> HomogeneousForm:
-    """Y*phi0 - X*phi1: the degree d+1 binary form cutting out the fixed points."""
-    if model.n != 1:
-        raise InvalidArgumentError("fixed points as a binary form need n = 1")
-    f = HomogeneousForm(1, model.d + 1, tuple(_fixed_point_coeffs(model)))
-    if f.is_zero():
-        raise DegenerateInputError("every point is fixed; no fixed-point form")
-    return f
 
 
 def elementary_to_power_sums(elem, k: int) -> list[Fraction]:

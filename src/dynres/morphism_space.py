@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import _matrix
-from .errors import IndeterminatePointError, InvalidArgumentError, SchemaError
+from .errors import InvalidArgumentError, SchemaError
 from .exact_arithmetic import primitive_integers, rational_from_string, rational_to_string, valuation
 
 MultiIndex = tuple[int, ...]
@@ -73,30 +73,46 @@ class HomogeneousForm:
                 f"{len(monomials(self.n, self.d))} coefficients, got {len(self.coeffs)}"
             )
 
-    def coefficient(self, exps: MultiIndex):
-        return self.coeffs[monomial_index(self.n, self.d)[tuple(exps)]]
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def evaluate(self, point):
-        total = 0
-        for exps, c in zip(monomials(self.n, self.d), self.coeffs):
-            if c == 0:
-                continue
-            term = c
-            for x, e in zip(point, exps):
-                if e:
-                    term *= x**e
-            total += term
-        return total
 
-    def dehomogenized(self) -> list:
-        """For n = 1: coefficients of f(z) = F(z, 1), ascending in z."""
-        if self.n != 1:
-            raise InvalidArgumentError("dehomogenization is for binary forms")
-        # lex-desc order is (X^d, X^(d-1)Y, ..., Y^d): reverse for ascending z powers
-        return list(reversed(self.coeffs))
+def _json_terms(data) -> tuple[int, int, list[dict]]:
+    """(n, d, one {exponents: coefficient} dict per form): every schema check that needs no expansion."""
+    if not isinstance(data, dict):
+        raise SchemaError("morphism payload must be an object")
+    n, d = data.get("n"), data.get("d")
+    # a JSON integer only: int() would truncate 1.9 and accept true
+    if type(n) is not int or type(d) is not int or "forms" not in data:
+        raise SchemaError("morphism payload needs integer 'n', 'd' and a 'forms' array")
+    raw_forms = data["forms"]
+    if not isinstance(raw_forms, list) or len(raw_forms) != n + 1:
+        raise SchemaError(f"'forms' must list exactly {n + 1} forms")
+    parsed = []
+    for raw in raw_forms:
+        if not isinstance(raw, list):
+            raise SchemaError("each form must be an array of [multiindex, coefficient] pairs")
+        terms = {}
+        for entry in raw:
+            if not (isinstance(entry, list) and len(entry) == 2):
+                raise SchemaError("form entries must be [\"i0,...,in\", \"a/b\"] pairs")
+            key_s, val_s = entry
+            # JSON strings only, as to_json writes them; a JSON number is neither spelling
+            if not isinstance(key_s, str) or _MULTI_INDEX.fullmatch(key_s) is None:
+                raise SchemaError(f"bad multi-index {key_s!r}")
+            if not isinstance(val_s, str):
+                raise SchemaError(f"coefficient {val_s!r} is not a string 'a' or 'a/b'")
+            exps = tuple(map(int, key_s.split(",")))
+            if len(exps) != n + 1 or sum(exps) != d:
+                raise SchemaError(f"multi-index {key_s!r} does not have weight {d} in {n + 1} variables")
+            if exps in terms:
+                raise SchemaError(f"duplicate multi-index {key_s!r}")
+            try:
+                terms[exps] = rational_from_string(val_s)
+            except InvalidArgumentError as exc:
+                raise SchemaError(str(exc)) from exc
+        parsed.append(terms)
+    return n, d, parsed
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,41 +167,10 @@ class MorphismModel:
 
     @classmethod
     def from_json(cls, data) -> "MorphismModel":
-        if not isinstance(data, dict):
-            raise SchemaError("morphism payload must be an object")
-        n, d = data.get("n"), data.get("d")
-        # a JSON integer only: int() would truncate 1.9 and accept true
-        if type(n) is not int or type(d) is not int or "forms" not in data:
-            raise SchemaError("morphism payload needs integer 'n', 'd' and a 'forms' array")
-        raw_forms = data["forms"]
-        if not isinstance(raw_forms, list) or len(raw_forms) != n + 1:
-            raise SchemaError(f"'forms' must list exactly {n + 1} forms")
-        forms = []
-        for raw in raw_forms:
-            if not isinstance(raw, list):
-                raise SchemaError("each form must be an array of [multiindex, coefficient] pairs")
-            terms = {}
-            for entry in raw:
-                if not (isinstance(entry, list) and len(entry) == 2):
-                    raise SchemaError("form entries must be [\"i0,...,in\", \"a/b\"] pairs")
-                key_s, val_s = entry
-                # JSON strings only, as to_json writes them; a JSON number is neither spelling
-                if not isinstance(key_s, str) or _MULTI_INDEX.fullmatch(key_s) is None:
-                    raise SchemaError(f"bad multi-index {key_s!r}")
-                if not isinstance(val_s, str):
-                    raise SchemaError(f"coefficient {val_s!r} is not a string 'a' or 'a/b'")
-                exps = tuple(map(int, key_s.split(",")))
-                if len(exps) != n + 1 or sum(exps) != d:
-                    raise SchemaError(f"multi-index {key_s!r} does not have weight {d} in {n + 1} variables")
-                if exps in terms:
-                    raise SchemaError(f"duplicate multi-index {key_s!r}")
-                try:
-                    terms[exps] = rational_from_string(val_s)
-                except InvalidArgumentError as exc:
-                    raise SchemaError(str(exc)) from exc
-            forms.append(HomogeneousForm(n, d, tuple(terms.get(m, Fraction(0)) for m in monomials(n, d))))
+        n, d, terms = _json_terms(data)
+        forms = tuple(HomogeneousForm(n, d, tuple(t.get(m, Fraction(0)) for m in monomials(n, d))) for t in terms)
         try:
-            return cls(n, d, tuple(forms))
+            return cls(n, d, forms)
         except InvalidArgumentError as exc:
             raise SchemaError(str(exc)) from exc
 
@@ -211,19 +196,6 @@ class LinearMap:
     @classmethod
     def identity(cls, n: int) -> "LinearMap":
         return cls.from_rows(_matrix.identity(n + 1))
-
-    def det(self) -> Fraction:
-        return _matrix.det_exact([list(r) for r in self.matrix])
-
-    def inverse(self) -> "LinearMap":
-        return LinearMap.from_rows(_matrix.mat_inverse([list(r) for r in self.matrix]))
-
-    def compose(self, other: "LinearMap") -> "LinearMap":
-        """Matrix product self * other (apply other first as a substitution)."""
-        return LinearMap.from_rows(_matrix.mat_mul([list(r) for r in self.matrix], [list(r) for r in other.matrix]))
-
-    def apply(self, point):
-        return tuple(sum(row[j] * point[j] for j in range(self.n + 1)) for row in self.matrix)
 
     def to_json(self) -> list[list[str]]:
         return [[rational_to_string(x) for x in row] for row in self.matrix]
@@ -333,21 +305,3 @@ def conjugate(model: MorphismModel, f: LinearMap) -> MorphismModel:
     fmat = [[x.numerator * (lcm // x.denominator) for x in row] for row in f.matrix]
     rows = conjugate_integer_rows([form.coeffs for form in model.forms], model.n, model.d, fmat)
     return MorphismModel.from_coeff_lists(model.n, model.d, rows)
-
-
-def evaluate(model: MorphismModel, point) -> tuple:
-    """Apply the model to a projective point given by homogeneous coordinates."""
-    point = tuple(Fraction(x) for x in point)
-    if len(point) != model.n + 1:
-        raise InvalidArgumentError("point has wrong number of coordinates")
-    if all(x == 0 for x in point):
-        raise InvalidArgumentError("the zero tuple is not a projective point")
-    image = tuple(f.evaluate(point) for f in model.forms)
-    if all(x == 0 for x in image):
-        raise IndeterminatePointError(f"all forms vanish at {point}; the map is undefined there")
-    return image
-
-
-def coefficient_height(model: MorphismModel) -> float:
-    """log max |a_I| on the primitive model; scaling-invariant."""
-    return math.log(max(abs(v) for v in primitive_integers(model.all_coeffs())))

@@ -41,10 +41,6 @@ from .morphism_space import (
 )
 from .resultants import nonzero_resultant
 
-GOOD_CERTIFIED = "good_certified"
-BAD_UPPER_BOUND = "bad_upper_bound"
-
-
 @dataclass(frozen=True, slots=True)
 class SearchBudget:
     """Bounds for conjugator searches.
@@ -68,9 +64,6 @@ def default_budget(d: int) -> SearchBudget:
     return SearchBudget(a_max=d + 2, translation_depth=2, matrix_bound=3)
 
 
-ZERO_BUDGET = SearchBudget(a_max=0, translation_depth=0, matrix_bound=0)
-
-
 @dataclass(frozen=True, slots=True)
 class LocalExponent:
     p: int
@@ -81,8 +74,8 @@ class LocalExponent:
     def __post_init__(self):
         if not 0 <= self.eps_estimate <= self.e_model:
             raise InvalidArgumentError("need 0 <= eps_estimate <= e_model")
-        if self.certified and self.eps_estimate != 0:
-            raise InvalidArgumentError("only a zero minimum is certified")
+        if self.certified != (self.eps_estimate == 0):
+            raise InvalidArgumentError("certified exactly when the minimum is zero")
 
     def to_json(self) -> dict:
         return {"p": str(self.p), "e": self.e_model, "eps": self.eps_estimate, "certified": self.certified}
@@ -217,12 +210,6 @@ def reduction_report(model: MorphismModel, budget: SearchBudget) -> ReductionRep
     factors = factor_integer(abs(int(res)))
     local = tuple(_minimize(prim, p, factors[p], budget) for p in sorted(factors))
     return ReductionReport(morphism=prim, res=res, local=local)
-
-
-def has_good_reduction(model: MorphismModel, p: int, budget: SearchBudget) -> str:
-    """good_certified when the class minimum at p is provably 0, else bad_upper_bound."""
-    entry = minimize_exponent(model, p, budget)
-    return GOOD_CERTIFIED if entry.certified else BAD_UPPER_BOUND
 
 
 def s_b_primes(B) -> list[int]:

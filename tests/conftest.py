@@ -17,7 +17,7 @@ from dynres import (
     sigma_invariants,
 )
 from dynres.conjugacy_twists import _search_witness
-from dynres.moduli_invariants import _fixed_point_coeffs, elementary_to_power_sums
+from dynres.moduli_invariants import elementary_to_power_sums
 from dynres.morphism_space import monomials
 
 
@@ -260,9 +260,20 @@ def power_sums_to_elementary(psums) -> list[Fraction]:
     return elem[1:]
 
 
+def fixed_point_coeffs(model: MorphismModel) -> list:
+    """Fix = Y*phi0 - X*phi1 of a map of P^1, lex-desc: (0, a_0, ..., a_d) - (b_0, ..., b_d, 0)."""
+    a, b = model.forms[0].coeffs, model.forms[1].coeffs
+    return [x - y for x, y in zip((0, *a), (*b, 0))]
+
+
+def dehomogenized(coeffs) -> list[Fraction]:
+    """f(z) = F(z, 1) of a binary form given lex-desc (X^d, ..., Y^d): ascending in z, trailing zeros dropped."""
+    return _poly_trim([Fraction(c) for c in reversed(coeffs)])
+
+
 def _affine_fixed_polynomial(model: MorphismModel) -> list[Fraction]:
     """f(z) = Fix(z, 1) = p0 - z*p1, ascending in z, trailing zeros dropped."""
-    return _poly_trim([Fraction(c) for c in reversed(_fixed_point_coeffs(model))])
+    return dehomogenized(fixed_point_coeffs(model))
 
 
 def _affine_multiplier(model: MorphismModel, monic):
@@ -271,7 +282,7 @@ def _affine_multiplier(model: MorphismModel, monic):
     q takes the value of the multiplier at every affine fixed point.  f' is
     the derivative of f itself, not of monic, which is off by the factor lc(f).
     """
-    p1 = _poly_trim([Fraction(c) for c in model.forms[1].dehomogenized()])
+    p1 = dehomogenized(model.forms[1].coeffs)
     p1_inv = _poly_inverse_mod(p1, monic)
     if p1_inv is None:
         # case (c): a fixed point where p1 vanishes is a common root of p0 and p1
@@ -305,11 +316,11 @@ def oracle_multiplier_power_sums(model: MorphismModel, k: int) -> list[Fraction]
     if inf_mult > 0:
         # phi fixes [1:0]; multiplier in the w = 1/z chart is psi'(0) for
         # psi(w) = phi1(1, w)/phi0(1, w)
-        lead0 = model.forms[0].coefficient((d, 0))
+        lead0 = model.forms[0].coeffs[0]  # X^d, first in lex-desc order
         if lead0 == 0:
             # case (b): phi0 and phi1 both vanish at [1:0]
             raise NotAMorphismError("resultant vanishes; not a morphism")
-        lam_inf = Fraction(model.forms[1].coefficient((d - 1, 1))) / Fraction(lead0)
+        lam_inf = Fraction(model.forms[1].coeffs[1]) / Fraction(lead0)  # X^(d-1) Y over X^d
 
     q = None
     if m > 0:

@@ -111,7 +111,7 @@ def test_criterion_3_good_reduction_golden_cases():
     res = macaulay_resultant(z_squared()).value
     assert abs(res) == 1
     rep = reduction_report(z_squared(), budget)
-    assert rep.minimal_resultant == FactoredIdeal.unit() and rep.norm == 1 and rep.fully_certified
+    assert rep.minimal_resultant == FactoredIdeal(()) and rep.norm == 1 and rep.fully_certified
 
     entry = minimize_exponent(binary(2, [4, 0, 0], [0, 0, 1]), 2, budget)
     assert entry.eps_estimate == 0 and entry.certified
@@ -136,7 +136,7 @@ def test_criterion_3_superseded_norm_fixture():
 def test_criterion_3_searched_norm_is_two():
     rep8 = reduction_report(twist(8), default_budget(2))
     assert rep8.norm == 2
-    assert rep8.minimal_resultant == FactoredIdeal.from_map({2: 1})
+    assert rep8.minimal_resultant == FactoredIdeal(((2, 1),))
 
 
 def test_criterion_4_s_b_containment(census_run):

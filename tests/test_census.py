@@ -10,6 +10,8 @@ from dynres import (
     CensusConfigMismatchError,
     CensusConfig,
     InvalidArgumentError,
+    MorphismModel,
+    SchemaError,
     SearchBudget,
     conjugacy_twists,
     enumerate_models,
@@ -79,6 +81,23 @@ def test_record_json_round_trip(tmp_path):
     again = CensusRecord.from_json(payload)
     assert again.to_json() == record.to_json()
     assert again.model.projectively_equal(record.model)
+
+
+def test_load_refuses_an_uncertified_zero_minimum(tmp_path):
+    # Res = 28 = 2^2 * 7: e = 2 at p = 2 walks down to 0, which is certified; eps = 1 at p = 7 is not
+    model = MorphismModel.from_coeff_lists(1, 2, [[2, 2, 2], [1, 2, -1]])
+    line = compute_record(_config(tmp_path, "forged"), model, record_key(model)).to_json()
+    assert line["local"][0] == {"p": "2", "e": 2, "eps": 0, "certified": True}
+    assert line["fully_certified"] is False and line["norm_is_upper_bound"] is True
+    path = tmp_path / "line.records.jsonl"
+    path.write_text(json.dumps(line) + "\n")
+    assert len(load_records(path)) == 1
+    # the same line claiming that the zero minimum at p = 2 is unproven
+    line["local"][0]["certified"] = False
+    path.write_text(json.dumps(line) + "\n")
+    with pytest.raises(SchemaError) as excinfo:
+        load_records(path)
+    assert "certified exactly when the minimum is zero" in str(excinfo.value)
 
 
 def test_b_grid():

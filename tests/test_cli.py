@@ -313,3 +313,80 @@ def test_census_refuses_other_shapes(tmp_path, capsys):
     assert code == 2
     assert json.loads(out)["error"] == "invalid-argument"
     assert not (tmp_path / "cubic.records.jsonl").exists()
+
+
+def _huge(n, d):
+    """A well-formed payload of degree d in n + 1 variables with two terms, a few dozen bytes."""
+    forms = [[] for _ in range(n + 1)]
+    forms[0].append([",".join([str(d)] + ["0"] * n), "1"])
+    forms[n].append([",".join(["0"] * n + [str(d)]), "1"])
+    return {"n": n, "d": d, "forms": forms}
+
+
+def test_shape_refused_before_forms_are_expanded(tmp_path, capsys, monkeypatch):
+    from dynres import morphism_space
+
+    huge = {}
+    for name, payload in (("d", _huge(1, 10**9)), ("n", _huge(2, 10**9))):
+        huge[name] = tmp_path / f"{name}.json"
+        huge[name].write_text(json.dumps(payload))
+    good = _write_model(tmp_path, "t2.json", twist(2))
+    expanded = []
+    real = morphism_space.monomials
+
+    def monomials(n, d):
+        expanded.append((n, d))
+        if d > 2:
+            raise AssertionError(f"a form of degree {d} was expanded")
+        return real(n, d)
+
+    monkeypatch.setattr(morphism_space, "monomials", monomials)
+    cases = [
+        (["invariants", str(huge["d"])], "sigma invariants are implemented for n = 1, d = 2"),
+        (["reduce", str(huge["n"])], "reduction is implemented for maps of P^1 (n = 1)"),
+        (["twist-test", str(huge["d"]), good], "conjugacy testing is implemented for n = 1, d = 2"),
+        (["twist-test", good, str(huge["d"])], "conjugacy testing is implemented for n = 1, d = 2"),
+    ]
+    for argv, message in cases:
+        expanded.clear()
+        code, out = _run(capsys, argv)
+        assert code == 2
+        assert json.loads(out) == {"error": "invalid-argument", "message": message}
+        assert all(d == 2 for _, d in expanded)  # only z + 2/z, of the shape taken, was built
+    # a payload that breaks the schema is still refused as such, whatever its shape
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps({"n": 1, "d": 10**9, "forms": [[["2,0", "1"]], []]}))
+    for command in ("invariants", "twist-test"):
+        code, out = _run(capsys, [command, str(broken)] + [good] * (command == "twist-test"))
+        assert code == 2
+        assert json.loads(out)["error"] == "schema-violation"
+
+
+def test_shape_refusals_are_the_library_messages(tmp_path, capsys):
+    from dynres import InvalidArgumentError, MorphismModel, conjugacy_test, default_budget, moduli_height, reduction_report
+
+    cubic = binary(3, [1, 0, 0, 0], [0, 0, 0, 1])
+    plane = MorphismModel.from_coeff_lists(2, 2, [[1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 1]])
+    good = _write_model(tmp_path, "t2.json", twist(2))
+    for argv, call in (
+        (["invariants", _write_model(tmp_path, "c.json", cubic)], lambda: moduli_height(cubic)),
+        (["reduce", _write_model(tmp_path, "p.json", plane)], lambda: reduction_report(plane, default_budget(2))),
+        (["twist-test", good, _write_model(tmp_path, "c.json", cubic)], lambda: conjugacy_test(twist(2), cubic, default_budget(2))),
+    ):
+        with pytest.raises(InvalidArgumentError) as excinfo:
+            call()
+        code, out = _run(capsys, argv)
+        assert code == 2
+        assert json.loads(out) == {"error": "invalid-argument", "message": str(excinfo.value)}
+
+
+def test_witness_failing_reverification_is_an_internal_failure(tmp_path, capsys, monkeypatch):
+    from dynres import conjugacy_twists
+
+    first = _write_model(tmp_path, "t8.json", twist(8))
+    second = _write_model(tmp_path, "t2.json", twist(2))
+    # a kernel that conjugates wrongly: the witness found for z + 8/z no longer re-verifies
+    monkeypatch.setattr(conjugacy_twists, "conjugate", lambda model, f: z_squared())
+    code, out = _run(capsys, ["twist-test", first, second])
+    assert code == 1
+    assert out == ""

@@ -3,7 +3,11 @@ from fractions import Fraction
 import pytest
 
 from dynres import InvalidArgumentError
-from dynres._matrix import det_bareiss_int, det_exact, identity, mat_adjugate, mat_adjugate_int, mat_inverse, mat_mul
+from dynres._matrix import det_bareiss_int, det_exact, identity, mat_adjugate, mat_adjugate_int, mat_inverse
+
+
+def mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def _random_matrices(rng, n, count, fractions):

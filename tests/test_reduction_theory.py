@@ -16,7 +16,6 @@ from dynres import (
     SearchBudget,
     conjugate,
     default_budget,
-    has_good_reduction,
     local_exponent,
     macaulay_resultant,
     minimize_exponent,
@@ -27,7 +26,9 @@ from dynres import (
     valuation,
 )
 from dynres import reduction_theory
-from dynres.reduction_theory import ZERO_BUDGET, conjugated_exponent, exponent_step
+from dynres.reduction_theory import conjugated_exponent, exponent_step
+
+ZERO_BUDGET = SearchBudget(a_max=0, translation_depth=0, matrix_bound=0)  # the tree walk off
 
 
 def test_local_exponent_examples():
@@ -153,17 +154,17 @@ def test_search_moves_monotone_sets():
 def test_reduction_report_examples():
     budget = default_budget(2)
     rep = reduction_report(z_squared(), budget)
-    assert rep.minimal_resultant == FactoredIdeal.unit()
+    assert rep.minimal_resultant == FactoredIdeal(())
     assert rep.norm == 1 and rep.fully_certified
 
     rep = reduction_report(binary(2, [4, 0, 0], [0, 0, 1]), budget)
-    assert rep.minimal_resultant == FactoredIdeal.unit()
+    assert rep.minimal_resultant == FactoredIdeal(())
     assert rep.norm == 1 and rep.fully_certified
 
     # z + 8/z is conjugate to z + 2/z by z -> 2z, so the searched minimum at 2 is 1
     rep = reduction_report(twist(8), budget)
     assert rep.res == 8
-    assert rep.minimal_resultant == FactoredIdeal.from_map({2: 1})
+    assert rep.minimal_resultant == FactoredIdeal(((2, 1),))
     assert rep.norm == 2
     assert rep.bad_primes() == (2,)
     assert not rep.fully_certified
@@ -178,10 +179,11 @@ def test_reduction_report_local_entries():
 
 
 def test_has_good_reduction():
+    # good reduction is a certified zero minimum; a positive one is only an upper bound
     budget = default_budget(2)
-    assert has_good_reduction(z_squared(), 3, budget) == "good_certified"
-    assert has_good_reduction(twist(2), 2, budget) == "bad_upper_bound"
-    assert has_good_reduction(binary(2, [4, 0, 0], [0, 0, 1]), 2, budget) == "good_certified"
+    assert minimize_exponent(z_squared(), 3, budget).certified
+    assert not minimize_exponent(twist(2), 2, budget).certified
+    assert minimize_exponent(binary(2, [4, 0, 0], [0, 0, 1]), 2, budget).certified
 
 
 def test_reduction_refuses_other_n():
@@ -194,7 +196,6 @@ def test_reduction_refuses_other_n():
         for call in (
             lambda: reduction_report(model, budget),
             lambda: minimize_exponent(model, 3, budget),
-            lambda: has_good_reduction(model, 3, budget),
         ):
             with pytest.raises(InvalidArgumentError) as excinfo:
                 call()
@@ -214,6 +215,8 @@ def test_local_exponent_type_invariants():
         LocalExponent(2, 1, 2, False)  # estimate above the model exponent
     with pytest.raises(InvalidArgumentError):
         LocalExponent(2, 3, 1, True)  # only zero certifies
+    with pytest.raises(InvalidArgumentError):
+        LocalExponent(2, 3, 0, False)  # and a zero minimum is always certified
 
 
 def test_minimize_certifies_only_zero(rng):
