@@ -37,7 +37,7 @@ from .errors import (
 )
 from .exact_arithmetic import factor_integer, primitive_integers, rational_to_string
 from .moduli_invariants import ModuliPoint, _primitive_moduli_height
-from .morphism_space import MorphismModel, monomials, normalize_primitive
+from .morphism_space import MorphismModel, _json_terms, monomials, normalize_primitive
 from .reduction_theory import LocalExponent, ReductionReport, SearchBudget, reduction_report, s_b_primes
 from .resultants import macaulay_resultant, nonzero_resultant
 
@@ -155,9 +155,14 @@ class CensusRecord:
         prime factorization of res.  Raises SchemaError unless the census
         writes exactly this line for them: a res or sigma that is not the
         model's, a derived field that disagrees, a key it does not write or a
-        value in another spelling or JSON type is refused.
+        value in another spelling or JSON type is refused.  A model of any
+        shape but (1, 2) is refused on its sparse terms, before any form is
+        expanded.
         """
-        model = normalize_primitive(MorphismModel.from_json(data["model"]))
+        n, d, terms = _json_terms(data["model"])
+        if (n, d) != (1, 2):
+            raise SchemaError(f"model: a census record holds n = 1, d = 2, not n = {n}, d = {d}")
+        model = normalize_primitive(MorphismModel.from_terms(n, d, terms))
         res = nonzero_resultant(model)
         local = tuple(LocalExponent.from_json(e) for e in data["local"])
         if [(e.p, e.e_model) for e in local] != sorted(factor_integer(res.numerator).items()):

@@ -4,6 +4,10 @@ Exit codes: 0 success, 2 validation problems (with a machine-readable error
 object on stdout), 1 internal failure.  All numeric payload fields are exact
 strings except moduli_height, a float rounded to 12 significant digits and
 always accompanied by its exact projective point.
+
+``main(argv)`` returns the exit code and writes to stdout, so it can be
+called repeatedly in-process.  The argument parser is built by the first
+call, not at import, and reused by every later one.
 """
 
 from __future__ import annotations
@@ -81,12 +85,15 @@ def _read_payload(path: str):
 
 
 def _read_morphism(path: str, shape=(None, None), refusal: str = "") -> MorphismModel:
-    """The payload's model; an (n, d) outside shape (None: any) is refused before any form is expanded."""
-    payload = _read_payload(path)
-    n, d, _ = _json_terms(payload)
+    """The payload's model, parsed once.
+
+    An (n, d) outside shape (None: any) is refused on the sparse terms, before
+    any form is expanded; the model is built from those same terms.
+    """
+    n, d, terms = _json_terms(_read_payload(path))
     if shape[0] not in (None, n) or shape[1] not in (None, d):
         raise InvalidArgumentError(refusal)
-    return MorphismModel.from_json(payload)
+    return MorphismModel.from_terms(n, d, terms)
 
 
 def _parse_budget(text: str | None, d: int) -> SearchBudget:
@@ -132,6 +139,8 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_twist_test(args) -> int:
+    if args.first == args.second == "-":
+        raise InvalidArgumentError("stdin can be read only once: give at most one operand as -")
     refusal = "conjugacy testing is implemented for n = 1, d = 2"
     phi, psi = (_read_morphism(path, (1, 2), refusal) for path in (args.first, args.second))
     budget = _parse_budget(args.budget, phi.d)
@@ -216,11 +225,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+_PARSER: _Parser | None = None  # built by the first main call
+
+
 def main(argv=None) -> int:
+    global _PARSER
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except _CliArgumentError as exc:
         _emit({"error": "usage-error", "message": str(exc)})
         return 2

@@ -167,7 +167,11 @@ class MorphismModel:
 
     @classmethod
     def from_json(cls, data) -> "MorphismModel":
-        n, d, terms = _json_terms(data)
+        return cls.from_terms(*_json_terms(data))
+
+    @classmethod
+    def from_terms(cls, n: int, d: int, terms) -> "MorphismModel":
+        """The model of _json_terms' (n, d, terms): the one step that expands the forms."""
         forms = tuple(HomogeneousForm(n, d, tuple(t.get(m, Fraction(0)) for m in monomials(n, d))) for t in terms)
         try:
             return cls(n, d, forms)

@@ -1,9 +1,13 @@
+import importlib
+import io
 import itertools
 import json
+import sys
 
 import pytest
 
 from conftest import binary, bq, twist, z_squared
+from dynres import cli
 from dynres.cli import main
 
 
@@ -128,6 +132,22 @@ def test_malformed_json(tmp_path, capsys):
     assert json.loads(out)["error"] == "malformed-json"
 
 
+def test_twist_test_refuses_stdin_for_both_operands(tmp_path, capsys, monkeypatch):
+    # stdin can be read once: the second operand would read "" and blame valid input
+    text = json.dumps(twist(2).to_json())
+    stdin = io.StringIO(text)
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out = _run(capsys, ["twist-test", "-", "-"])
+    assert code == 2
+    assert json.loads(out)["error"] == "invalid-argument"
+    assert stdin.tell() == 0  # refused before anything was read
+    # one operand from stdin is read as any file
+    good = _write_model(tmp_path, "t8.json", twist(8))
+    code, out = _run(capsys, ["twist-test", "-", good])
+    assert code == 0
+    assert json.loads(out)["status"] == "conjugate"
+
+
 def test_schema_violation(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n": 1, "d": 2, "forms": []}))
@@ -158,6 +178,79 @@ def test_deterministic_output(tmp_path, capsys):
     _, first = _run(capsys, ["reduce", path])
     _, second = _run(capsys, ["reduce", path])
     assert first == second
+
+
+def test_repeated_in_process_calls_build_the_parser_once(tmp_path, capsys, monkeypatch):
+    built = []
+    build_parser = cli.build_parser
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    t8 = _write_model(tmp_path, "t8.json", twist(8))
+    t2 = _write_model(tmp_path, "t2.json", twist(2))
+    sequence = [
+        ["reduce", t8],
+        ["invariants", t8],
+        ["twist-test", t8, t2],
+        ["resultant", "--frobnicate"],
+        ["--schema"],
+        [],
+    ]
+    first = [_run(capsys, argv) for argv in sequence]
+    second = [_run(capsys, argv) for argv in sequence]
+    assert second == first
+    assert [code for code, _ in first] == [0, 0, 0, 2, 0, 2]
+    usage, schema, unknown = (json.loads(out) for _, out in first[3:])
+    assert (usage["error"], unknown["error"]) == ("usage-error", "unknown-subcommand")
+    assert schema == cli.SCHEMAS
+    assert len(built) == 1
+
+
+def test_import_builds_no_parser(monkeypatch):
+    import argparse
+
+    import dynres
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    # the fresh import rebinds dynres.cli; both are put back afterwards
+    monkeypatch.setattr(dynres, "cli", cli)
+    monkeypatch.delitem(sys.modules, "dynres.cli")
+    fresh = importlib.import_module("dynres.cli")
+    assert fresh is not cli
+    assert fresh._PARSER is None
+    assert built == []
+
+
+def test_each_payload_is_parsed_once(tmp_path, capsys, monkeypatch):
+    from dynres import morphism_space
+
+    calls = []
+    json_terms = morphism_space._json_terms
+
+    def counting_json_terms(data):
+        calls.append(1)
+        return json_terms(data)
+
+    monkeypatch.setattr(morphism_space, "_json_terms", counting_json_terms)
+    monkeypatch.setattr(cli, "_json_terms", counting_json_terms)
+    t8 = _write_model(tmp_path, "t8.json", twist(8))
+    t2 = _write_model(tmp_path, "t2.json", twist(2))
+    for argv, files in ((["resultant", t8], 1), (["reduce", t8], 1), (["invariants", t8], 1), (["twist-test", t8, t2], 2)):
+        calls.clear()
+        code, _ = _run(capsys, argv)
+        assert code == 0
+        assert len(calls) == files, argv
 
 
 def test_schema_flag(capsys):
@@ -360,6 +453,31 @@ def test_shape_refused_before_forms_are_expanded(tmp_path, capsys, monkeypatch):
         code, out = _run(capsys, [command, str(broken)] + [good] * (command == "twist-test"))
         assert code == 2
         assert json.loads(out)["error"] == "schema-violation"
+
+
+def test_census_line_shape_refused_before_forms_are_expanded(tmp_path, capsys, monkeypatch):
+    from dynres import SchemaError, load_records, morphism_space
+
+    good = _h1_record_line()
+    real = morphism_space.monomials
+
+    def monomials(n, d):
+        if d > 2:
+            raise AssertionError(f"a form of degree {d} was expanded")
+        return real(n, d)
+
+    monkeypatch.setattr(morphism_space, "monomials", monomials)
+    for name, model in (("d", _huge(1, 10**9)), ("n", _huge(2, 2))):
+        path = tmp_path / f"{name}.records.jsonl"
+        path.write_text(json.dumps({**good, "model": model}) + "\n")
+        with pytest.raises(SchemaError) as excinfo:
+            load_records(path)
+        assert "n = 1, d = 2" in str(excinfo.value)
+        code, out = _run(capsys, ["report", "--records", str(path), "--B", "2"])
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["error"] == "schema-violation"
+        assert " line 1 " in payload["message"]
 
 
 def test_shape_refusals_are_the_library_messages(tmp_path, capsys):
