@@ -47,7 +47,6 @@ from .moduli_invariants import (
     sigma_invariants_full,
 )
 from .morphism_space import (
-    HomogeneousForm,
     LinearMap,
     MorphismModel,
     conjugate,

@@ -178,7 +178,7 @@ class CensusRecord:
 
 
 def record_key(model: MorphismModel) -> str:
-    coeffs = ",".join(str(int(c)) for f in model.forms for c in f.coeffs)
+    coeffs = ",".join(str(int(c)) for c in model.all_coeffs())
     return f"{model.n}|{model.d}|{coeffs}"
 
 
@@ -408,7 +408,7 @@ def summarize_records(records: list[CensusRecord], B: int, budget: SearchBudget,
         per_b.append(entry)
 
     # the monic polynomial maps z^2 + bz + c: [X^2 + bXY + cY^2 : Y^2]
-    monic = [r for r in records if r.model.forms[1].coeffs == (0, 0, 1) and r.model.forms[0].coeffs[0] == 1]
+    monic = [r for r in records if r.model.forms[1] == (0, 0, 1) and r.model.forms[0][0] == 1]
     for r in monic:
         if r.norm != 1 or not r.report.fully_certified:
             raise CensusAssertionError(f"monic record {r.key} lacks unit minimal resultant", r)

@@ -72,14 +72,15 @@ def _emit(obj) -> None:
 def _read_payload(path: str):
     try:
         if path == "-":
-            text = sys.stdin.read()
+            raw = sys.stdin.read()
         else:
-            with open(path, encoding="utf-8") as handle:
-                text = handle.read()
+            # bytes: json.loads decodes them, so a file that is not UTF-8 is malformed JSON
+            with open(path, "rb") as handle:
+                raw = handle.read()
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(text)
+        return json.loads(raw)
     except ValueError as exc:
         raise MalformedJsonError(f"input is not valid JSON: {exc}") from exc
 
@@ -103,7 +104,10 @@ def _parse_budget(text: str | None, d: int) -> SearchBudget:
     # ASCII integers only; a negative one reaches SearchBudget's refusal
     if not 1 <= len(parts) <= 3 or not all(re.fullmatch(r"-?[0-9]+", p) for p in parts):
         raise SchemaError(f"bad --budget value {text!r}; expected AMAX[,DEPTH[,MBOUND]]")
-    nums = [int(p) for p in parts]
+    try:
+        nums = [int(p) for p in parts]
+    except ValueError as exc:  # more digits than int() converts
+        raise SchemaError(f"bad --budget value {text!r}: too many digits") from exc
     defaults = default_budget(d)
     depth = nums[1] if len(nums) > 1 else defaults.translation_depth
     mbound = nums[2] if len(nums) > 2 else defaults.matrix_bound

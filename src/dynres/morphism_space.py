@@ -1,8 +1,9 @@
 """Degree-d endomorphisms of P^n as exact coefficient tuples.
 
-A model is n+1 homogeneous degree-d forms over Q.  Monomials are kept dense
-in descending lexicographic order of exponent tuples, so a binary quadratic
-reads (X^2, XY, Y^2).  All values are immutable; operations are pure.
+A model is n+1 homogeneous degree-d forms over Q, and a form is the tuple of
+its coefficients, dense over monomials(n, d): descending lexicographic order
+of exponent tuples, so a binary quadratic reads (X^2, XY, Y^2).  All values
+are immutable; operations are pure.
 """
 
 from __future__ import annotations
@@ -58,25 +59,6 @@ def _shared_fraction(c) -> Fraction:
     return f
 
 
-@dataclass(frozen=True, slots=True)
-class HomogeneousForm:
-    """A homogeneous polynomial of degree d in n+1 variables, dense coefficients."""
-
-    n: int
-    d: int
-    coeffs: tuple
-
-    def __post_init__(self):
-        if len(self.coeffs) != len(monomials(self.n, self.d)):
-            raise InvalidArgumentError(
-                f"form of degree {self.d} in {self.n + 1} variables needs "
-                f"{len(monomials(self.n, self.d))} coefficients, got {len(self.coeffs)}"
-            )
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-
 def _json_terms(data) -> tuple[int, int, list[dict]]:
     """(n, d, one {exponents: coefficient} dict per form): every schema check that needs no expansion."""
     if not isinstance(data, dict):
@@ -102,7 +84,10 @@ def _json_terms(data) -> tuple[int, int, list[dict]]:
                 raise SchemaError(f"bad multi-index {key_s!r}")
             if not isinstance(val_s, str):
                 raise SchemaError(f"coefficient {val_s!r} is not a string 'a' or 'a/b'")
-            exps = tuple(map(int, key_s.split(",")))
+            try:
+                exps = tuple(map(int, key_s.split(",")))
+            except ValueError as exc:  # more digits than int() converts
+                raise SchemaError(f"bad multi-index {key_s!r}: too many digits") from exc
             if len(exps) != n + 1 or sum(exps) != d:
                 raise SchemaError(f"multi-index {key_s!r} does not have weight {d} in {n + 1} variables")
             if exps in terms:
@@ -117,11 +102,11 @@ def _json_terms(data) -> tuple[int, int, list[dict]]:
 
 @dataclass(frozen=True, slots=True)
 class MorphismModel:
-    """A point of P^N: n+1 degree-d forms, not all zero."""
+    """A point of P^N: n+1 degree-d forms, not all zero; forms[i] is phi_i's coefficient tuple."""
 
     n: int
     d: int
-    forms: tuple[HomogeneousForm, ...]
+    forms: tuple[tuple, ...]
 
     def __post_init__(self):
         if self.d < 1:
@@ -129,25 +114,27 @@ class MorphismModel:
         if len(self.forms) != self.n + 1:
             raise InvalidArgumentError(f"need {self.n + 1} forms, got {len(self.forms)}")
         for f in self.forms:
-            if (f.n, f.d) != (self.n, self.d):
-                raise InvalidArgumentError("all forms must share (n, d)")
-        if all(f.is_zero() for f in self.forms):
+            if len(f) != len(monomials(self.n, self.d)):
+                raise InvalidArgumentError(
+                    f"form of degree {self.d} in {self.n + 1} variables needs "
+                    f"{len(monomials(self.n, self.d))} coefficients, got {len(f)}"
+                )
+        if not any(map(any, self.forms)):  # no throwaway all_coeffs() tuple per model
             raise InvalidArgumentError("zero model does not define a point of P^N")
 
     @classmethod
     def from_coeff_lists(cls, n: int, d: int, lists) -> "MorphismModel":
-        return cls(n, d, tuple(HomogeneousForm(n, d, tuple(_shared_fraction(c) for c in row)) for row in lists))
+        """The one constructor the package uses: small integer coefficients become shared Fractions."""
+        return cls(n, d, tuple(tuple(_shared_fraction(c) for c in row) for row in lists))
 
     def all_coeffs(self) -> tuple:
-        return tuple(c for f in self.forms for c in f.coeffs)
+        return tuple(c for f in self.forms for c in f)
 
     def scale(self, lam) -> "MorphismModel":
         lam = Fraction(lam)
         if lam == 0:
             raise InvalidArgumentError("scaling by zero")
-        return MorphismModel(
-            self.n, self.d, tuple(HomogeneousForm(self.n, self.d, tuple(c * lam for c in f.coeffs)) for f in self.forms)
-        )
+        return MorphismModel.from_coeff_lists(self.n, self.d, [[c * lam for c in f] for f in self.forms])
 
     def canonical_key(self) -> tuple:
         return (self.n, self.d) + primitive_integers(self.all_coeffs())
@@ -160,7 +147,7 @@ class MorphismModel:
             "n": self.n,
             "d": self.d,
             "forms": [
-                [[",".join(map(str, exps)), rational_to_string(c)] for exps, c in zip(monomials(self.n, self.d), f.coeffs)]
+                [[",".join(map(str, exps)), rational_to_string(c)] for exps, c in zip(monomials(self.n, self.d), f)]
                 for f in self.forms
             ],
         }
@@ -172,9 +159,9 @@ class MorphismModel:
     @classmethod
     def from_terms(cls, n: int, d: int, terms) -> "MorphismModel":
         """The model of _json_terms' (n, d, terms): the one step that expands the forms."""
-        forms = tuple(HomogeneousForm(n, d, tuple(t.get(m, Fraction(0)) for m in monomials(n, d))) for t in terms)
+        lists = [[t.get(m, 0) for m in monomials(n, d)] for t in terms]
         try:
-            return cls(n, d, forms)
+            return cls.from_coeff_lists(n, d, lists)
         except InvalidArgumentError as exc:
             raise SchemaError(str(exc)) from exc
 
@@ -208,7 +195,7 @@ class LinearMap:
 def normalize_primitive(model: MorphismModel) -> MorphismModel:
     """Canonical integral representative: coefficient gcd 1, first nonzero > 0."""
     ints = primitive_integers(model.all_coeffs())
-    k = len(model.forms[0].coeffs)
+    k = len(model.forms[0])
     return MorphismModel.from_coeff_lists(model.n, model.d, [ints[i : i + k] for i in range(0, len(ints), k)])
 
 
@@ -240,9 +227,9 @@ def _linear_form_dict(row, nvars: int) -> dict:
     return {tuple(1 if j == k else 0 for j in range(nvars)): row[k] for k in range(nvars) if row[k] != 0}
 
 
-def substitute_linear(form: HomogeneousForm, rows) -> HomogeneousForm:
-    """The form F(M x) for a matrix M given as rows; exact expansion."""
-    nvars = form.n + 1
+def substitute_linear(coeffs, n: int, d: int, rows) -> list:
+    """The coefficients of F(M x), F of degree d in n+1 variables, for a matrix M given as rows; exact expansion."""
+    nvars = n + 1
     linear = [_linear_form_dict(rows[j], nvars) for j in range(nvars)]
     power_cache: list[dict[int, dict]] = [{0: {tuple([0] * nvars): 1}} for _ in range(nvars)]
 
@@ -253,7 +240,7 @@ def substitute_linear(form: HomogeneousForm, rows) -> HomogeneousForm:
         return cache[e]
 
     acc: dict = {}
-    for exps, c in zip(monomials(form.n, form.d), form.coeffs):
+    for exps, c in zip(monomials(n, d), coeffs):
         if c == 0:
             continue
         term = {tuple([0] * nvars): c}
@@ -262,12 +249,12 @@ def substitute_linear(form: HomogeneousForm, rows) -> HomogeneousForm:
                 term = _poly_mul(term, power(j, e))
         for key, val in term.items():
             acc[key] = acc.get(key, 0) + val
-    idx = monomial_index(form.n, form.d)
-    coeffs = [0] * len(idx)
+    idx = monomial_index(n, d)
+    out = [0] * len(idx)
     for key, val in acc.items():
-        coeffs[idx[key]] = val
+        out[idx[key]] = val
     # stays in int when both form and matrix are integral
-    return HomogeneousForm(form.n, form.d, tuple(coeffs))
+    return out
 
 
 def conjugate_integer_rows(coeff_rows, n: int, d: int, fmat) -> list[list]:
@@ -278,17 +265,16 @@ def conjugate_integer_rows(coeff_rows, n: int, d: int, fmat) -> list[list]:
     Fraction overhead out of search loops.  The result is the conjugate
     F^(-1) o Phi o F up to the scalar det(F), the same point of P^N.
     """
-    forms = [HomogeneousForm(n, d, tuple(rc)) for rc in coeff_rows]
-    subbed = [substitute_linear(f, fmat) for f in forms]
+    subbed = [substitute_linear(rc, n, d, fmat) for rc in coeff_rows]
     adj = _matrix.mat_adjugate_int([list(r) for r in fmat])
     out = []
     for i in range(n + 1):
-        acc = [0] * len(subbed[0].coeffs)
+        acc = [0] * len(subbed[0])
         for j in range(n + 1):
             a = adj[i][j]
             if a == 0:
                 continue
-            for t, c in enumerate(subbed[j].coeffs):
+            for t, c in enumerate(subbed[j]):
                 if c:
                     acc[t] += a * c
         out.append(acc)
@@ -307,5 +293,5 @@ def conjugate(model: MorphismModel, f: LinearMap) -> MorphismModel:
         raise InvalidArgumentError("dimension mismatch between morphism and linear map")
     lcm = math.lcm(*[x.denominator for row in f.matrix for x in row])
     fmat = [[x.numerator * (lcm // x.denominator) for x in row] for row in f.matrix]
-    rows = conjugate_integer_rows([form.coeffs for form in model.forms], model.n, model.d, fmat)
+    rows = conjugate_integer_rows(model.forms, model.n, model.d, fmat)
     return MorphismModel.from_coeff_lists(model.n, model.d, rows)

@@ -148,8 +148,7 @@ def conjugated_exponent(prim: MorphismModel, p: int, v_res: int, fmat) -> int:
     det = _matrix.det_bareiss_int([list(r) for r in fmat])
     if det == 0:
         raise InvalidArgumentError("conjugator must be invertible")
-    coeff_rows = [[int(c) for c in f.coeffs] for f in prim.forms]
-    conj = conjugate_integer_rows(coeff_rows, n, d, fmat)
+    conj = conjugate_integer_rows([[int(c) for c in f] for f in prim.forms], n, d, fmat)
     minval = min(_ord_int(c, p) for row in conj for c in row if c)
     return v_res + d**n * (n + d) * _ord_int(det, p) - (n + 1) * d**n * minval
 
@@ -168,8 +167,7 @@ def _descend(prim: MorphismModel, p: int, v_res: int, floor: int) -> int:
         for fmat in neighbours:
             e = conjugated_exponent(prim, p, best, fmat)
             if e < best:
-                rows = [[int(c) for c in f.coeffs] for f in prim.forms]
-                conj = conjugate_integer_rows(rows, prim.n, prim.d, fmat)
+                conj = conjugate_integer_rows([[int(c) for c in f] for f in prim.forms], prim.n, prim.d, fmat)
                 prim = normalize_primitive(MorphismModel.from_coeff_lists(prim.n, prim.d, conj))
                 best = e
                 break

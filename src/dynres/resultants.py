@@ -26,7 +26,7 @@ from functools import lru_cache
 
 from . import _matrix
 from .errors import InvalidArgumentError, NotAMorphismError
-from .morphism_space import HomogeneousForm, MorphismModel, monomial_index, monomials
+from .morphism_space import MorphismModel, monomial_index, monomials
 
 SYLVESTER = "sylvester"
 MACAULAY_QUOTIENT = "macaulay_quotient"
@@ -115,16 +115,15 @@ def _fill(placement, coeffs, zero) -> list[list]:
     return rows
 
 
-def sylvester_matrix(f: HomogeneousForm, g: HomogeneousForm) -> list[list[Fraction]]:
-    """2d x 2d Sylvester matrix: d shifted rows of f, then d shifted rows of g."""
-    if f.n != 1 or g.n != 1:
-        raise InvalidArgumentError("Sylvester resultant is for binary forms")
-    if f.d != g.d or f.d < 1:
+def sylvester_matrix(f, g) -> list[list[Fraction]]:
+    """2d x 2d Sylvester matrix: d shifted rows of f, then of g, each its d + 1 coefficients X^d ... Y^d."""
+    if len(f) != len(g) or len(f) < 2:
         raise InvalidArgumentError("binary forms must have equal degree >= 1")
-    return _fill(_placement(1, f.d)[0], [[Fraction(c) for c in h.coeffs] for h in (f, g)], Fraction(0))
+    return _fill(_placement(1, len(f) - 1)[0], [[Fraction(c) for c in h] for h in (f, g)], Fraction(0))
 
 
-def sylvester_resultant(f: HomogeneousForm, g: HomogeneousForm, backend: str = "bareiss") -> Fraction:
+def sylvester_resultant(f, g, backend: str = "bareiss") -> Fraction:
+    """Res(f, g) of two binary forms of equal degree d >= 1, each given by its d + 1 coefficients X^d ... Y^d."""
     return _matrix.det_exact(sylvester_matrix(f, g), backend)
 
 
@@ -157,7 +156,7 @@ class MacaulayMatrix:
 def macaulay_matrix(model: MorphismModel) -> MacaulayMatrix:
     n, d = model.n, model.d
     placement, minor = _placement(n, d)
-    rows = _fill(placement, [[Fraction(c) for c in f.coeffs] for f in model.forms], Fraction(0))
+    rows = _fill(placement, [[Fraction(c) for c in f] for f in model.forms], Fraction(0))
     return MacaulayMatrix(n, d, (n + 1) * (d - 1) + 1, tuple(map(tuple, rows)), minor)
 
 
@@ -165,7 +164,7 @@ def macaulay_resultant(model: MorphismModel, backend: str = "bareiss") -> Result
     """Res of the model, R(0); nonzero exactly when the forms have no common zero."""
     n, d = model.n, model.d
     placement, minor = _elimination_placement(n, d)
-    full = _fill(placement, [f.coeffs for f in model.forms], 0)
+    full = _fill(placement, model.forms, 0)
     nodes: list[tuple[int, Fraction]] = []
     t = 0
     while len(nodes) <= (n + 1) * d**n:

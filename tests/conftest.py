@@ -262,7 +262,7 @@ def power_sums_to_elementary(psums) -> list[Fraction]:
 
 def fixed_point_coeffs(model: MorphismModel) -> list:
     """Fix = Y*phi0 - X*phi1 of a map of P^1, lex-desc: (0, a_0, ..., a_d) - (b_0, ..., b_d, 0)."""
-    a, b = model.forms[0].coeffs, model.forms[1].coeffs
+    a, b = model.forms[0], model.forms[1]
     return [x - y for x, y in zip((0, *a), (*b, 0))]
 
 
@@ -282,7 +282,7 @@ def _affine_multiplier(model: MorphismModel, monic):
     q takes the value of the multiplier at every affine fixed point.  f' is
     the derivative of f itself, not of monic, which is off by the factor lc(f).
     """
-    p1 = dehomogenized(model.forms[1].coeffs)
+    p1 = dehomogenized(model.forms[1])
     p1_inv = _poly_inverse_mod(p1, monic)
     if p1_inv is None:
         # case (c): a fixed point where p1 vanishes is a common root of p0 and p1
@@ -316,11 +316,11 @@ def oracle_multiplier_power_sums(model: MorphismModel, k: int) -> list[Fraction]
     if inf_mult > 0:
         # phi fixes [1:0]; multiplier in the w = 1/z chart is psi'(0) for
         # psi(w) = phi1(1, w)/phi0(1, w)
-        lead0 = model.forms[0].coeffs[0]  # X^d, first in lex-desc order
+        lead0 = model.forms[0][0]  # X^d, first in lex-desc order
         if lead0 == 0:
             # case (b): phi0 and phi1 both vanish at [1:0]
             raise NotAMorphismError("resultant vanishes; not a morphism")
-        lam_inf = Fraction(model.forms[1].coeffs[1]) / Fraction(lead0)  # X^(d-1) Y over X^d
+        lam_inf = Fraction(model.forms[1][1]) / Fraction(lead0)  # X^(d-1) Y over X^d
 
     q = None
     if m > 0:

@@ -288,7 +288,7 @@ def test_run_census_h1_summary(tmp_path):
             assert record.report.minimal_resultant.norm() == 1
 
     # monic polynomial maps all carry the unit ideal, certified
-    monic = [r for r in records if r.model.forms[1].coeffs == (0, 0, 1) and r.model.forms[0].coeffs[0] == 1]
+    monic = [r for r in records if r.model.forms[1] == (0, 0, 1) and r.model.forms[0][0] == 1]
     assert len(monic) == 9
     assert all(r.norm == 1 and r.report.fully_certified for r in monic)
 

@@ -126,10 +126,25 @@ def test_missing_subcommand(capsys):
 
 def test_malformed_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code, out = _run(capsys, ["resultant", str(bad)])
+    # the file is read as bytes and json.loads decodes them, so bytes that are not UTF-8 are malformed JSON too
+    for raw in (b"{not json", b"\xff\xfe{}", b'{"n": "\xe9"}'):
+        bad.write_bytes(raw)
+        code, out = _run(capsys, ["resultant", str(bad)])
+        assert code == 2
+        assert json.loads(out)["error"] == "malformed-json"
+
+
+def test_integer_strings_past_the_conversion_limit(tmp_path, capsys):
+    # int() refuses strings of more than 4300 digits; such a key or budget is badly spelled input
+    key = tmp_path / "key.json"
+    key.write_text(json.dumps({"n": 1, "d": 2, "forms": [[["1" * 5000 + ",0", "1"]], [["0,2", "1"]]]}))
+    code, out = _run(capsys, ["resultant", str(key)])
     assert code == 2
-    assert json.loads(out)["error"] == "malformed-json"
+    assert json.loads(out)["error"] == "schema-violation"
+    path = _write_model(tmp_path, "z2.json", z_squared())
+    code, out = _run(capsys, ["reduce", path, "--budget", "1" * 5000])
+    assert code == 2
+    assert json.loads(out)["error"] == "schema-violation"
 
 
 def test_twist_test_refuses_stdin_for_both_operands(tmp_path, capsys, monkeypatch):

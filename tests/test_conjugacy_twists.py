@@ -207,7 +207,7 @@ def _twist_family() -> list[MorphismModel]:
 
 
 def _scaled(model: MorphismModel, s) -> MorphismModel:
-    return MorphismModel.from_coeff_lists(1, 2, [[c * s for c in f.coeffs] for f in model.forms])
+    return MorphismModel.from_coeff_lists(1, 2, [[c * s for c in f] for f in model.forms])
 
 
 def _scaled_duplicates() -> list[MorphismModel]:

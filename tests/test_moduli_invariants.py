@@ -84,8 +84,8 @@ def test_power_sums_numeric_cross_check(rng):
     z = sympy.Symbol("z")
     for _ in range(8):
         m = random_morphism(rng, 1, 2, bound=4)
-        p0 = sum(int(c) * z ** (2 - i) for i, c in enumerate(m.forms[0].coeffs))
-        p1 = sum(int(c) * z ** (2 - i) for i, c in enumerate(m.forms[1].coeffs))
+        p0 = sum(int(c) * z ** (2 - i) for i, c in enumerate(m.forms[0]))
+        p1 = sum(int(c) * z ** (2 - i) for i, c in enumerate(m.forms[1]))
         fix = sympy.expand(p0 - z * p1)
         phi_prime = sympy.diff(p0 / p1, z)
         total = Fraction(0)
@@ -254,12 +254,12 @@ def companion_power_sums(model, k, retries=8, shifts=None):
     lam_inf = Fraction(0)
     if inf_mult > 0:
         # coefficient of X^(d-1) Y over that of X^d, in lex-desc order
-        lam_inf = Fraction(model.forms[1].coeffs[1]) / Fraction(model.forms[0].coeffs[0])
+        lam_inf = Fraction(model.forms[1][1]) / Fraction(model.forms[0][0])
     operator = None
     if m > 0:
         monic = [c / fixpoly[-1] for c in fixpoly]
-        p0 = dehomogenized(model.forms[0].coeffs)
-        p1 = dehomogenized(model.forms[1].coeffs)
+        p0 = dehomogenized(model.forms[0])
+        p1 = dehomogenized(model.forms[1])
         r = _poly_sub(_poly_mul(_poly_deriv(p0), p1), _poly_mul(p0, _poly_deriv(p1)))
         s = _poly_mul(p1, p1)
         if len(_oracle_poly_gcd(s, monic)) > 1:
@@ -404,7 +404,7 @@ def test_quadratic_sigma_matches_power_sums(rng):
     # infinity, three times; the conjugates move the multiple fixed point off infinity
     multiple = [bq(1, 0, Fraction(1, 4), 0, 0, 1), twist(2), twist(Fraction(-1, 3))]
     multiple += [conjugate(m, LinearMap.from_rows([[1, 0], [1, 1]])) for m in multiple]
-    assert sum(m.forms[1].coeffs[0] == 0 for m in box + rationals) >= 100
+    assert sum(m.forms[1][0] == 0 for m in box + rationals) >= 100
     for m in box + rationals + multiple:
         assert sigma_invariants_full(m) == _sigma_by_power_sums(m)
         assert sigma_invariants_full(m.scale(Fraction(-3, 7))) == sigma_invariants_full(m)

@@ -6,7 +6,6 @@ import pytest
 
 from conftest import binary, bq, proj_eq, random_model, random_morphism, twist, z_squared
 from dynres import (
-    HomogeneousForm,
     InvalidArgumentError,
     LinearMap,
     MorphismModel,
@@ -37,7 +36,7 @@ def _apply(f: LinearMap, point) -> tuple:
 def _evaluate(model: MorphismModel, point) -> tuple:
     """The image of the homogeneous coordinates point under every form of model."""
     return tuple(
-        sum(c * math.prod(x**e for x, e in zip(point, exps)) for exps, c in zip(monomials(model.n, model.d), f.coeffs))
+        sum(c * math.prod(x**e for x, e in zip(point, exps)) for exps, c in zip(monomials(model.n, model.d), f))
         for f in model.forms
     )
 
@@ -51,6 +50,26 @@ def test_monomials_lex_descending():
 def test_zero_model_rejected():
     with pytest.raises(InvalidArgumentError):
         MorphismModel.from_coeff_lists(1, 2, [[0, 0, 0], [0, 0, 0]])
+    with pytest.raises(InvalidArgumentError):
+        MorphismModel(1, 2, ((Fraction(0),) * 3, (0, 0, 0)))
+    # every form has exactly len(monomials(n, d)) coefficients
+    for rows, got in (
+        ([[1, 0], [0, 0, 1]], 2),  # a short row
+        ([[1, 0, 0], [0, 0, 1, 0]], 4),  # a long row
+        ([[1, 0, 0, 0], [0, 1]], 4),  # rows of unequal length
+        ([[1, 0], [0, 1, 0, 0]], 2),
+    ):
+        for build in (
+            lambda: MorphismModel.from_coeff_lists(1, 2, rows),
+            lambda: MorphismModel(1, 2, tuple(tuple(Fraction(c) for c in row) for row in rows)),
+        ):
+            with pytest.raises(InvalidArgumentError) as excinfo:
+                build()
+            assert excinfo.value.code == "invalid-argument"
+            assert str(excinfo.value) == f"form of degree 2 in 2 variables needs 3 coefficients, got {got}"
+    with pytest.raises(InvalidArgumentError) as excinfo:
+        MorphismModel.from_coeff_lists(2, 1, [[1, 0, 0], [0, 1, 0], [0, 0]])
+    assert str(excinfo.value) == "form of degree 1 in 3 variables needs 3 coefficients, got 2"
 
 
 def test_normalize_primitive_examples():
@@ -196,6 +215,8 @@ def test_json_schema_violations():
         # multi-indices and coefficients are JSON strings, not numbers
         {"n": 1, "d": 2, "forms": [[["2,0", 1]], [["1,1", "1"]]]},
         {"n": 0, "d": 2, "forms": [[[2, "1"]]]},
+        # a multi-index part longer than int() converts (4300 digits)
+        {"n": 1, "d": 2, "forms": [[["1" * 5000 + ",0", "1"]], [["0,2", "1"]]]},
     ):
         with pytest.raises(SchemaError):
             MorphismModel.from_json(corrupt)
@@ -233,7 +254,7 @@ def test_conjugate_pinned_integer_matrix():
 
 def _unshared(n, d, lists) -> MorphismModel:
     # the model from_coeff_lists built before it shared small coefficients
-    return MorphismModel(n, d, tuple(HomogeneousForm(n, d, tuple(Fraction(c) for c in row)) for row in lists))
+    return MorphismModel(n, d, tuple(tuple(Fraction(c) for c in row) for row in lists))
 
 
 def test_small_coefficients_are_shared(rng):
@@ -241,9 +262,12 @@ def test_small_coefficients_are_shared(rng):
     b = MorphismModel.from_coeff_lists(2, 1, [[Fraction(-1), 3, 0], [0, 0, 0], ["3", 1, 1024]])
     threes = [c for m in (a, b) for c in m.all_coeffs() if c == 3]
     assert len(threes) == 5 and all(c is threes[0] for c in threes)
-    assert a.forms[0].coeffs[2] is b.forms[0].coeffs[0]
-    assert a.forms[0].coeffs[1] is b.forms[1].coeffs[0]
-    assert b.forms[2].coeffs[2] is MorphismModel.from_coeff_lists(1, 1, [[1024, 0], [0, 1]]).forms[0].coeffs[0]
+    assert a.forms[0][2] is b.forms[0][0]
+    assert a.forms[0][1] is b.forms[1][0]
+    assert b.forms[2][2] is MorphismModel.from_coeff_lists(1, 1, [[1024, 0], [0, 1]]).forms[0][0]
+    # models read from JSON and scaled models share them too
+    assert MorphismModel.from_json(a.to_json()).forms[0][0] is a.forms[0][0]
+    assert a.scale(Fraction(1, 3)).forms[0][0] is b.forms[2][1]
     # small integers, large integers (beyond the table) and fractions
     draws = (
         lambda: rng.randint(-9, 9),
@@ -269,8 +293,11 @@ def test_small_coefficients_are_shared(rng):
             rows = [[int(i == j) or (i < j) * rng.randint(0, 2) for j in range(n + 1)] for i in range(n + 1)]
             f = LinearMap.from_rows(rows)
             assert conjugate(shared, f) == conjugate(fresh, f)
-            # only integers of size at most 1024 come from the table
+            # only integers of size at most 1024 come from the table, however the model was built
             again = MorphismModel.from_coeff_lists(n, d, lists)
             for c, c_again in zip(shared.all_coeffs(), again.all_coeffs()):
                 assert (c is c_again) == (c.denominator == 1 and abs(c) <= 1024)
+            for other in (MorphismModel.from_json(shared.to_json()), shared.scale(lam)):
+                for c in other.all_coeffs():
+                    assert (c is morphism_space._SHARED.get(c)) == (c.denominator == 1 and abs(c) <= 1024)
     assert len(morphism_space._SHARED) <= 2 * 1024 + 1

@@ -13,7 +13,6 @@ PUBLIC = [
     "ConjugacyVerdict",
     "DynresError",
     "FactoredIdeal",
-    "HomogeneousForm",
     "INFINITY",
     "InvalidArgumentError",
     "LinearMap",

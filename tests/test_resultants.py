@@ -6,7 +6,6 @@ import sympy
 
 from conftest import _macaulay_quotient, _perturbation_resultant, binary, bq, random_model, random_morphism, z_squared
 from dynres import (
-    HomogeneousForm,
     InvalidArgumentError,
     MorphismModel,
     NotAMorphismError,
@@ -37,9 +36,9 @@ def _cofactor_det(m):
     return total
 
 
-def _to_sympy(form, varlist):
+def _to_sympy(model, i, varlist):
     expr = sympy.Integer(0)
-    for exps, c in zip(monomials(form.n, form.d), form.coeffs):
+    for exps, c in zip(monomials(model.n, model.d), model.forms[i]):
         term = sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
         for v, e in zip(varlist, exps):
             term *= v**e
@@ -67,16 +66,23 @@ def test_sylvester_degree_mismatch():
     g = binary(3, [1, 0, 0, 0], [0, 0, 0, 1]).forms[1]
     with pytest.raises(InvalidArgumentError):
         sylvester_resultant(f, g)
+    # a binary form of degree d is its d + 1 coefficients: equal lengths, degree >= 1
+    for f, g in (((1, 0, 0), (0, 1)), ((1, 2), (1, 2, 3)), ((1,), (2,)), ((), ())):
+        for build in (sylvester_matrix, sylvester_resultant):
+            with pytest.raises(InvalidArgumentError) as excinfo:
+                build(f, g)
+            assert excinfo.value.code == "invalid-argument"
+            assert str(excinfo.value) == "binary forms must have equal degree >= 1"
 
 
 def test_sylvester_against_sympy(rng):
     for _ in range(40):
         d = rng.choice([1, 2, 3, 4])
         m = random_model(rng, 1, d, bound=9)
-        if m.forms[0].coeffs[0] == 0 or m.forms[1].coeffs[0] == 0:
+        if m.forms[0][0] == 0 or m.forms[1][0] == 0:
             continue  # sympy's univariate resultant drops degree there
-        f = _to_sympy(m.forms[0], [X, Y]).subs(Y, 1)
-        g = _to_sympy(m.forms[1], [X, Y]).subs(Y, 1)
+        f = _to_sympy(m, 0, [X, Y]).subs(Y, 1)
+        g = _to_sympy(m, 1, [X, Y]).subs(Y, 1)
         expected = Fraction(str(sympy.resultant(sympy.Poly(f, X), sympy.Poly(g, X))))
         assert sylvester_resultant(*m.forms) == expected
 
@@ -138,7 +144,7 @@ def test_macaulay_against_sympy_pipeline(rng):
     while checked < 6 and attempts < 200:
         attempts += 1
         m = random_model(rng, 2, 2, bound=5)
-        polys = [_to_sympy(f, [X, Y, Z]) for f in m.forms]
+        polys = [_to_sympy(m, i, [X, Y, Z]) for i in range(3)]
         if any(p == 0 for p in polys):
             continue
         mac = MacaulayResultant(polys, [X, Y, Z])
@@ -243,7 +249,7 @@ def test_perturbation_fixture_values_via_row_mixing(rng):
                 acc = [Fraction(0)] * 6
                 for j in range(3):
                     if B[i][j]:
-                        for t, c in enumerate(m.forms[j].coeffs):
+                        for t, c in enumerate(m.forms[j]):
                             acc[t] += B[i][j] * c
                 mixed.append(acc)
             q = _macaulay_quotient(MorphismModel.from_coeff_lists(2, 2, mixed), "bareiss")
@@ -266,9 +272,9 @@ def test_perturbation_agrees_with_quotient(rng):
 
 def _retired_sylvester_rows(f, g):
     # the row loop sylvester_matrix had before it filled from the Macaulay placement
-    d = f.d
+    d = len(f) - 1
     rows = []
-    for coeffs in (f.coeffs, g.coeffs):
+    for coeffs in (f, g):
         for shift in range(d):
             row = [Fraction(0)] * (2 * d)
             for j, c in enumerate(coeffs):
@@ -279,10 +285,10 @@ def _retired_sylvester_rows(f, g):
 
 def test_sylvester_matrix_matches_retired_row_loop(rng):
     for d in (1, 2, 3):
-        zero = HomogeneousForm(1, d, (0,) * (d + 1))
+        zero = (0,) * (d + 1)
         pairs = [(zero, zero), (zero, random_model(rng, 1, d).forms[1])]
         pairs += [random_model(rng, 1, d).forms for _ in range(10)]
-        pairs.append((HomogeneousForm(1, d, tuple(range(1, d + 2))), HomogeneousForm(1, d, (Fraction(1, 2),) * (d + 1))))
+        pairs.append((tuple(range(1, d + 2)), (Fraction(1, 2),) * (d + 1)))
         for f, g in pairs:
             mat = sylvester_matrix(f, g)
             assert mat == _retired_sylvester_rows(f, g)
@@ -408,7 +414,7 @@ def test_elimination_placement_permutes_rows_and_columns(rng):
             model = random_model(rng, n, d)
             mac = macaulay_matrix(model)
             natural = mac.rows()
-            permuted = resultants._fill(placement, [f.coeffs for f in model.forms], 0)
+            permuted = resultants._fill(placement, model.forms, 0)
             assert permuted == [[natural[r][c] for c in order] for r in order]
             # so M' is the principal minor of the permuted M on the images of the rows of M'
             assert sorted(order[a] for a in minor) == list(mac.reduced_minor_index)
