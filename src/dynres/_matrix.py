@@ -1,11 +1,15 @@
 """Internal exact linear algebra on small dense matrices.
 
 Matrices are lists of lists (rows) of ints or Fractions.  Two determinant
-kernels are provided: fraction-free Bareiss elimination, and a multimodular
-route: one elimination modulo a product of word-sized primes that exceeds
-twice the Hadamard bound, then a balanced sign lift.  When a pivot is not a
-unit modulo that product, each prime is eliminated on its own and the
-residues are CRT-combined.
+kernels eliminate integer matrices: fraction-free Bareiss elimination, and a
+multimodular route: one elimination modulo a product of word-sized primes
+that exceeds twice the Hadamard bound, then a balanced sign lift.  When a
+pivot is not a unit modulo that product, each prime is eliminated on its own
+and the residues are CRT-combined.  det_int picks the kernel by backend name,
+the one place that reads it.  The Macaulay resultant hands det_int integer
+matrices, its forms scaled to integers once.  det_exact, behind the rational
+API (exact_determinant, sylvester_resultant, LinearMap, mat_adjugate and
+mat_inverse), row-scales each matrix to integers first (_integer_scaled).
 
 One cofactor loop gives the adjugate over Z (Bareiss minors) and over Q
 (det_exact minors), and the exact inverse is adj(M) / det(M).
@@ -62,9 +66,9 @@ def det_bareiss_int(matrix: list[list[int]]) -> int:
 
 
 def _integer_scaled(matrix):
-    """Row-scale a Fraction matrix to integers; returns (int_matrix, scale).
+    """Scale each row of an int/Fraction matrix by the lcm of its denominators; returns (int_rows, scale).
 
-    det(original) = det(int_matrix) / scale.
+    scale is the product of those lcms, so det(original) = det(int_rows) / scale.
     """
     rows = []
     scale = 1
@@ -180,19 +184,22 @@ def det_modular_crt_int(matrix: list[list[int]]) -> int:
     return residue
 
 
+def det_int(matrix: list[list[int]], backend: str = "bareiss") -> int:
+    """det of a nonempty square integer matrix by the backend's kernel."""
+    if backend == "bareiss":
+        return det_bareiss_int(matrix)
+    if backend == "modular_crt":
+        return det_modular_crt_int(matrix)
+    raise InvalidArgumentError(f"unknown determinant backend {backend!r}")
+
+
 def det_exact(matrix, backend: str = "bareiss") -> Fraction:
     """Exact determinant of an int/Fraction matrix; the empty matrix has det 1."""
     _require_square(matrix, allow_empty=True)
     if not matrix:
         return Fraction(1)
     scaled, scale = _integer_scaled(matrix)
-    if backend == "bareiss":
-        d = det_bareiss_int(scaled)
-    elif backend == "modular_crt":
-        d = det_modular_crt_int(scaled)
-    else:
-        raise InvalidArgumentError(f"unknown determinant backend {backend!r}")
-    return Fraction(d, scale)
+    return Fraction(det_int(scaled, backend), scale)
 
 
 def mat_minor(matrix, i: int, j: int):

@@ -219,7 +219,8 @@ def compute_record(config: CensusConfig, model: MorphismModel, key: str) -> Cens
     report = reduction_report(model, config.budget)
     moduli = _primitive_moduli_height(report.morphism, report.res)
     record = CensusRecord(key, report, moduli, report.norm <= config.B and moduli.mult_height <= config.B)
-    if record.in_gamma and not set(record.bad_primes()).issubset(s_b_primes(config.B)):
+    # S_B is the primes up to B, and every bad prime is a prime
+    if record.in_gamma and any(p > config.B for p in record.bad_primes()):
         raise CensusAssertionError(f"record {key} has a bad prime outside S_B", record)
     return record
 

@@ -4,8 +4,10 @@ For (n, d) = (1, 2) the pair (sigma_1, sigma_2) of elementary symmetric
 functions of the three fixed-point multipliers pins the conjugacy class and
 identifies M_2 with A^2 (Milnor, "Geometry and dynamics of quadratic rational
 maps", Exp. Math. 1993), and the moduli height is the height of
-[sigma_1 : sigma_2 : 1].  The sigma invariants, the multiplier power sums
-and moduli_height refuse every other shape with InvalidArgumentError.
+[sigma_1 : sigma_2 : 1] = [P1 : P2 : Res], read in integers: the point is
+(P1, P2, Res) divided by its gcd, signed so that the last entry is positive.
+The sigma invariants, the multiplier power sums and moduli_height refuse
+every other shape with InvalidArgumentError.
 
 Quadratic sigma.  sigma_i = P_i / Res, where P_i is a fixed integer form of
 degree 4 in the coefficients (a0, a1, a2; b0, b1, b2) of phi0 and phi1
@@ -34,8 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidArgumentError
-from .exact_arithmetic import primitive_integers
-from .morphism_space import MorphismModel
+from .morphism_space import MorphismModel, normalize_primitive
 from .resultants import nonzero_resultant
 
 
@@ -106,31 +107,33 @@ def _sigma_numerators(a0, a1, a2, b0, b1, b2):
     return p1, p2, p3
 
 
+def _primitive_quadratic(model: MorphismModel) -> tuple[MorphismModel, Fraction]:
+    """The primitive model of a quadratic map of P^1 and its nonzero resultant."""
+    if model.n != 1 or model.d != 2:
+        raise InvalidArgumentError("sigma invariants are implemented for n = 1, d = 2")
+    prim = normalize_primitive(model)
+    return prim, nonzero_resultant(prim)
+
+
 def sigma_invariants_full(model: MorphismModel) -> tuple[Fraction, Fraction, Fraction]:
     """(sigma_1, sigma_2, sigma_3) = (P1, P2, P3) / Res on the primitive model."""
-    if model.n != 1 or model.d != 2:
-        raise InvalidArgumentError("sigma invariants are implemented for n = 1, d = 2")
+    prim, res = _primitive_quadratic(model)
     # integers, not the model's Fractions: the forms evaluate about 40 times faster
-    v = primitive_integers(model.all_coeffs())
-    res = nonzero_resultant(MorphismModel.from_coeff_lists(1, 2, [v[:3], v[3:]]))
-    return tuple(p / res for p in _sigma_numerators(*v))
+    return tuple(p / res for p in _sigma_numerators(*[c.numerator for c in prim.all_coeffs()]))
 
 
-def _sigma_point(s1: Fraction, s2: Fraction) -> ModuliPoint:
-    """The point [sigma_1 : sigma_2 : 1] as coprime integers (x, y, z), z > 0, with its height."""
-    z, x, y = primitive_integers((1, s1, s2))
-    h = max(abs(x), abs(y), z)
-    return ModuliPoint((s1, s2), (x, y, z), h, math.log(h))
-
-
-def _primitive_moduli_height(model: MorphismModel, res) -> ModuliPoint:
+def _primitive_moduli_height(prim: MorphismModel, res: Fraction) -> ModuliPoint:
     """moduli_height of a primitive quadratic model on P^1 whose resultant res is already known."""
-    if model.n != 1 or model.d != 2:
-        raise InvalidArgumentError("sigma invariants are implemented for n = 1, d = 2")
-    p1, p2, _ = _sigma_numerators(*primitive_integers(model.all_coeffs()))
-    return _sigma_point(p1 / res, p2 / res)
+    p1, p2, _ = _sigma_numerators(*[c.numerator for c in prim.all_coeffs()])
+    r = res.numerator
+    g = math.gcd(p1, p2, r)
+    if r < 0:
+        g = -g
+    x, y, z = p1 // g, p2 // g, r // g
+    h = max(abs(x), abs(y), z)
+    return ModuliPoint((Fraction(p1, r), Fraction(p2, r)), (x, y, z), h, math.log(h))
 
 
 def moduli_height(model: MorphismModel) -> ModuliPoint:
     """The class point of a quadratic map of P^1 and its exact height."""
-    return _sigma_point(*sigma_invariants(model))
+    return _primitive_moduli_height(*_primitive_quadratic(model))

@@ -128,7 +128,9 @@ class MorphismModel:
         return cls(n, d, tuple(tuple(_shared_fraction(c) for c in row) for row in lists))
 
     def all_coeffs(self) -> tuple:
-        return tuple(c for f in self.forms for c in f)
+        # from a list, so the tuple is allocated at its size: tuple() of an iterator allocates 10
+        # slots and shrinks them, and the shrunk tuples pile up in CPython's free list for their length
+        return tuple([c for f in self.forms for c in f])
 
     def scale(self, lam) -> "MorphismModel":
         lam = Fraction(lam)
@@ -193,8 +195,11 @@ class LinearMap:
 
 
 def normalize_primitive(model: MorphismModel) -> MorphismModel:
-    """Canonical integral representative: coefficient gcd 1, first nonzero > 0."""
-    ints = primitive_integers(model.all_coeffs())
+    """Canonical integral representative: coefficient gcd 1, first nonzero > 0; a primitive model is returned as is."""
+    coeffs = model.all_coeffs()
+    ints = primitive_integers(coeffs)
+    if ints == coeffs:
+        return model
     k = len(model.forms[0])
     return MorphismModel.from_coeff_lists(model.n, model.d, [ints[i : i + k] for i in range(0, len(ints), k)])
 

@@ -104,17 +104,21 @@ class ReductionReport:
 
     @property
     def norm(self) -> int:
-        return self.minimal_resultant.norm()
+        return math.prod(e.p**e.eps_estimate for e in self.local)
 
     @property
     def fully_certified(self) -> bool:
         return all(entry.certified for entry in self.local)
 
     def bad_primes(self) -> tuple[int, ...]:
-        return self.minimal_resultant.primes()
+        return tuple(e.p for e in self.local if e.eps_estimate)
 
     def certified_norm_lower_bound(self) -> int:
-        """Norm with every uncertified exponent dropped to 0."""
+        """Norm with every uncertified exponent dropped to 0.
+
+        Every certified entry has eps = 0, so this is 1 until a positive
+        minimum can be certified (the parity bound, item 2 of ROADMAP.md).
+        """
         n = 1
         for entry in self.local:
             if entry.certified:

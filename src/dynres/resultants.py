@@ -10,6 +10,13 @@ Res is R(0): the quotient at t = 0 when det(M') != 0, else interpolated from
 delta + 1 nodes t = 1, 2, ...  For n = 1, M is the Sylvester matrix and M' is
 empty.
 
+Every determinant of the resultant is of an integer matrix.  Res is
+homogeneous of degree d^n in each form's coefficients, so with c_i the lcm of
+phi_i's denominators, Res(phi) = Res(c_0 phi_0, ..., c_n phi_n) / prod c_i^(d^n):
+the forms are scaled once, and M, M' and each M + tI are integer matrices.
+Only the public rational API (exact_determinant, sylvester_resultant) scales
+each matrix's rows, in _matrix.det_exact.
+
 M is 80-90 % zeros for n >= 2, so the resultant fills it with rows and
 columns in one fill-reducing order of the degree-D monomials, computed once
 per (n, d).  A permutation applied to both rows and columns keeps det M, the
@@ -164,14 +171,17 @@ def macaulay_resultant(model: MorphismModel, backend: str = "bareiss") -> Result
     """Res of the model, R(0); nonzero exactly when the forms have no common zero."""
     n, d = model.n, model.d
     placement, minor = _elimination_placement(n, d)
-    full = _fill(placement, model.forms, 0)
+    # M holds the integral forms c_i phi_i, whose resultant is scale * Res: each value is divided by scale
+    coeffs, lcm = _matrix._integer_scaled(model.forms)
+    scale = lcm ** (d**n)
+    full = _fill(placement, coeffs, 0)
     nodes: list[tuple[int, Fraction]] = []
     t = 0
     while len(nodes) <= (n + 1) * d**n:
         # full is M + tI here, and M' + tI is its principal minor on the rows of M'
-        det_sub = _matrix.det_exact([[full[i][j] for j in minor] for i in minor], backend) if minor else 1
+        det_sub = _matrix.det_int([[full[i][j] for j in minor] for i in minor], backend) if minor else 1
         if det_sub != 0:
-            value = _matrix.det_exact(full, backend) / det_sub
+            value = Fraction(_matrix.det_int(full, backend), det_sub * scale)
             if t == 0:
                 return ResultantValue(value, SYLVESTER if n == 1 else MACAULAY_QUOTIENT)
             nodes.append((t, value))

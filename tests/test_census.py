@@ -2,9 +2,11 @@ import hashlib
 import itertools
 import json
 import math
+import random
 
 import pytest
 
+from conftest import random_morphism
 from dynres import (
     CensusAssertionError,
     CensusConfigMismatchError,
@@ -17,6 +19,7 @@ from dynres import (
     enumerate_models,
     load_records,
     macaulay_resultant,
+    moduli_height,
     run_census,
     stream_records,
     summarize_records,
@@ -81,6 +84,18 @@ def test_record_json_round_trip(tmp_path):
     again = CensusRecord.from_json(payload)
     assert again.to_json() == record.to_json()
     assert again.model.projectively_equal(record.model)
+
+
+def test_record_moduli_point_is_moduli_height(tmp_path):
+    # the census reads [P1 : P2 : Res] off the report's primitive model and resultant
+    config = _config(tmp_path, "moduli", B=16)
+    rng = random.Random(2403)
+    models = list(enumerate_models(1, 2, 1)) + [random_morphism(rng, 1, 2, bound=3) for _ in range(60)]
+    for model in models:
+        record = compute_record(config, model, record_key(model))
+        assert record.moduli == moduli_height(model)
+        x, y, z = record.moduli.point
+        assert math.gcd(x, y, z) == 1 and z > 0
 
 
 def test_load_refuses_an_uncertified_zero_minimum(tmp_path):

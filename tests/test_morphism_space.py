@@ -91,6 +91,17 @@ def test_normalize_primitive_properties(rng):
         assert next(v for v in ints if v) > 0
 
 
+def test_normalize_primitive_returns_a_primitive_model_itself(rng):
+    for _ in range(40):
+        m = random_model(rng, rng.choice([1, 2]), rng.choice([1, 2]))
+        prim = normalize_primitive(m)
+        assert (prim is m) == (prim == m)
+        assert normalize_primitive(prim) is prim
+        scaled = prim.scale(rng.choice([-1, 2, Fraction(1, 3)]))
+        again = normalize_primitive(scaled)
+        assert again == prim and again is not scaled
+
+
 def test_min_coeff_valuation_examples():
     assert min_coeff_valuation(bq(2, 0, 4, 0, 6, 0), 2) == 1
     assert min_coeff_valuation(bq(1, 0, 2, 0, 3, 0), 5) == 0

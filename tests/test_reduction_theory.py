@@ -178,6 +178,16 @@ def test_reduction_report_local_entries():
     assert rep.norm == 6
 
 
+def test_norm_and_bad_primes_match_the_minimal_resultant_ideal(rng):
+    budget = default_budget(2)
+    models = [z_squared(), twist(8), bq(1, 0, 6, 0, 1, 0)] + [random_morphism(rng, 1, 2) for _ in range(40)]
+    reports = [reduction_report(m, budget) for m in models]
+    for rep in reports:
+        assert rep.norm == rep.minimal_resultant.norm()
+        assert rep.bad_primes() == rep.minimal_resultant.primes()
+    assert sum(len(rep.bad_primes()) >= 2 for rep in reports) >= 3
+
+
 def test_has_good_reduction():
     # good reduction is a certified zero minimum; a positive one is only an upper bound
     budget = default_budget(2)

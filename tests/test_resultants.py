@@ -209,6 +209,11 @@ def test_determinant_against_sympy(rng):
 def test_unknown_backend_rejected():
     with pytest.raises(InvalidArgumentError):
         exact_determinant([[1]], "gauss")
+    # the resultant's integer determinants go through the same backend dispatch
+    for model in (z_squared(), random_morphism(random.Random(7), 2, 2)):
+        with pytest.raises(InvalidArgumentError) as excinfo:
+            macaulay_resultant(model, "gauss")
+        assert str(excinfo.value) == "unknown determinant backend 'gauss'"
 
 
 def test_macaulay_matrix_shape():
@@ -302,12 +307,20 @@ def test_nonzero_resultant():
         nonzero_resultant(bq(0, 1, 0, 0, 0, 1))
 
 
-def _singular_minor_draws(rng, n, d, count, vanishing):
-    """Sparse models whose reduced minor is singular: morphisms, or models that all vanish at (1:0:...:0)."""
+def _singular_minor_draws(rng, n, d, count, vanishing, max_denominator=1):
+    """Sparse models whose reduced minor is singular: morphisms, or models that all vanish at (1:0:...:0).
+
+    With max_denominator > 1 each coefficient is a fraction over a denominator drawn up to it.
+    """
     per_form = len(monomials(n, d))
+
+    def coefficient():
+        c = 0 if rng.random() < 0.6 else rng.randint(-3, 3)
+        return Fraction(c, rng.randint(1, max_denominator)) if max_denominator > 1 else c
+
     out = []
     while len(out) < count:
-        lists = [[0 if rng.random() < 0.6 else rng.randint(-3, 3) for _ in range(per_form)] for _ in range(n + 1)]
+        lists = [[coefficient() for _ in range(per_form)] for _ in range(n + 1)]
         if vanishing:
             for row in lists:
                 row[0] = 0  # no X_0^d term anywhere
@@ -357,13 +370,14 @@ PINNED_PERTURBATION = [
 
 def test_perturbation_pinned_larger_shapes(monkeypatch):
     det_sizes = []
-    det_exact = _matrix.det_exact
+    det_bareiss_int = _matrix.det_bareiss_int
 
-    def counting(matrix, backend="bareiss"):
+    # the resultant eliminates integer matrices, so count the integer kernel of the default backend
+    def counting(matrix):
         det_sizes.append(len(matrix))
-        return det_exact(matrix, backend)
+        return det_bareiss_int(matrix)
 
-    monkeypatch.setattr(_matrix, "det_exact", counting)
+    monkeypatch.setattr(_matrix, "det_bareiss_int", counting)
     for n, d, lists, expected in PINNED_PERTURBATION:
         m = MorphismModel.from_coeff_lists(n, d, lists)
         det_sizes.clear()
@@ -474,3 +488,49 @@ def test_modular_determinant_falls_back_on_non_unit_pivots(monkeypatch):
             if kind != "random entries":
                 # the first pivot is a nonzero multiple of p1, so not a unit mod N: one elimination per prime
                 assert moduli[1:] == _matrix._crt_primes(2 * _matrix.hadamard_bound(mat))
+
+
+RATIONAL_SHAPES = ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2))
+
+
+def _rational_model(rng, n, d) -> MorphismModel:
+    # coefficients over denominators up to 7
+    per_form = len(monomials(n, d))
+    while True:
+        lists = [[Fraction(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(per_form)] for _ in range(n + 1)]
+        if any(any(row) for row in lists):
+            return MorphismModel.from_coeff_lists(n, d, lists)
+
+
+def test_rational_coefficients_match_the_fraction_matrix_route():
+    # the resultant scales each form to integers once; the oracles eliminate the Fraction matrices
+    rng = random.Random(24)
+    seen = set()
+    for n, d in RATIONAL_SHAPES:
+        draws = [_rational_model(rng, n, d) for _ in range(1 if (n, d) == (3, 2) else 3)]
+        if n >= 2:
+            draws += _singular_minor_draws(rng, n, d, 1, False, max_denominator=7)
+        for model in draws:
+            assert any(c.denominator > 1 for c in model.all_coeffs())
+            for backend in ("bareiss", "modular_crt"):
+                rv = macaulay_resultant(model, backend)
+                assert rv == _natural_order_resultant(model, backend)
+                assert not rv.vanishes()
+                seen.add((n, d, rv.method))
+    for n, d in RATIONAL_SHAPES:
+        methods = {"sylvester"} if n == 1 else {"macaulay_quotient", "perturbation"}
+        assert {(n, d, method) for method in methods} <= seen
+
+
+def test_rescaling_one_form_multiplies_by_lambda_to_the_d_n(rng):
+    # Res is homogeneous of degree d^n in the coefficients of each form
+    for n, d in RATIONAL_SHAPES[:4]:
+        for _ in range(3):
+            model = random_morphism(rng, n, d, bound=4)
+            i = rng.randrange(n + 1)
+            lam = Fraction(rng.choice([2, -3, 5, -7]), rng.randint(1, 7))
+            lists = [[c * lam if k == i else c for c in f] for k, f in enumerate(model.forms)]
+            rescaled = MorphismModel.from_coeff_lists(n, d, lists)
+            for backend in ("bareiss", "modular_crt"):
+                expected = lam ** (d**n) * macaulay_resultant(model, backend).value
+                assert macaulay_resultant(rescaled, backend).value == expected
