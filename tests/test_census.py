@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -21,6 +22,7 @@ from dynres import (
     macaulay_resultant,
     moduli_height,
     run_census,
+    sigma_invariants,
     stream_records,
     summarize_records,
 )
@@ -88,14 +90,16 @@ def test_record_json_round_trip(tmp_path):
 
 def test_record_moduli_point_is_moduli_height(tmp_path):
     # the census reads [P1 : P2 : Res] off the report's primitive model and resultant
-    config = _config(tmp_path, "moduli", B=16)
+    config = _config(tmp_path, "moduli")
     rng = random.Random(2403)
     models = list(enumerate_models(1, 2, 1)) + [random_morphism(rng, 1, 2, bound=3) for _ in range(60)]
     for model in models:
         record = compute_record(config, model, record_key(model))
         assert record.moduli == moduli_height(model)
+        # and it is [sigma_1 : sigma_2 : 1], sigma read through the Fraction route
         x, y, z = record.moduli.point
         assert math.gcd(x, y, z) == 1 and z > 0
+        assert (Fraction(x, z), Fraction(y, z)) == record.sigma == sigma_invariants(model)
 
 
 def test_load_refuses_an_uncertified_zero_minimum(tmp_path):
