@@ -19,6 +19,7 @@ never merge without a witness.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 from concurrent.futures import ThreadPoolExecutor
@@ -225,27 +226,22 @@ def compute_record(config: CensusConfig, model: MorphismModel, key: str) -> Cens
     return record
 
 
-def _recover_prefix(path: Path) -> list[str]:
-    """Keys of the record lines; truncates a last line that has no newline.
+def _recover_prefix(path: Path) -> list[CensusRecord]:
+    """The records of the complete lines; then truncates a last line that has no newline.
 
-    A kill mid-write can leave only that.  Any complete line that is not a
-    JSON object with a key, a blank one included, raises CensusAssertionError
-    and leaves the file as it is.
+    A kill mid-write can leave only that.  Every complete line, a blank one
+    included, is read as ``load_records`` reads it and raises the same error,
+    and a file with a bad complete line is left as it is.
     """
     if not path.exists():
         return []
     raw = path.read_bytes()
-    complete = raw[: raw.rfind(b"\n") + 1]
-    keys = []
-    for number, line in enumerate(complete.split(b"\n")[:-1], 1):
-        try:
-            keys.append(json.loads(line)["key"])
-        except (ValueError, KeyError, TypeError) as exc:
-            raise CensusAssertionError(f"{path} line {number} is not a census record: {line[:80]!r}") from exc
-    if len(complete) != len(raw):
+    complete = raw.rfind(b"\n") + 1
+    records = _read_lines(path, io.BytesIO(raw[:complete]))
+    if complete != len(raw):
         with open(path, "r+b") as fh:
-            fh.truncate(len(complete))
-    return keys
+            fh.truncate(complete)
+    return records
 
 
 def _bind_prefix(config: CensusConfig) -> None:
@@ -272,66 +268,71 @@ def _bind_prefix(config: CensusConfig) -> None:
     config.config_path.write_text(json.dumps(settings, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def stream_records(config: CensusConfig, limit: int | None = None) -> int:
+def stream_records(config: CensusConfig, limit: int | None = None) -> list[CensusRecord]:
     """Compute and append records, skipping those already on disk.
 
     Enumeration order is deterministic, so an existing file must be a prefix
     of the full stream written under the same settings (checked against
     ``PREFIX.config.json``); a last line without its newline (from a kill
-    mid-write) is truncated, any other unreadable line is an error, and every
-    stored key is checked against the enumeration before any new record is
-    computed.  The rest is appended in batches of 8 * threads records, each
-    flushed before the next starts, so a kill loses at most the batch in
-    flight.  Returns the number of records now persisted.
+    mid-write) is truncated, any other line that ``load_records`` refuses is
+    refused with its error, and every stored key is checked against the
+    enumeration before any new record is computed.  The rest is appended in
+    batches of 8 * threads records, each flushed before the next starts, so a
+    kill loses at most the batch in flight.  Returns the records now
+    persisted: the stored prefix, read once, then the new records as computed.
     ``limit`` bounds how many new records are written (test hook for
     interruption).
     """
     path = config.records_path
     path.parent.mkdir(parents=True, exist_ok=True)
     _bind_prefix(config)
-    existing = _recover_prefix(path)
+    records = _recover_prefix(path)
     models = enumerate_models(config.n, config.d, config.coeff_bound)
     checked = 0
-    for stored, model in zip(existing, models):
+    for stored, model in zip(records, models):
         key = record_key(model)
-        if stored != key:
+        if stored.key != key:
             raise CensusAssertionError(
-                f"records file mismatches the enumeration at index {checked}: {stored!r} != {key!r}"
+                f"records file mismatches the enumeration at index {checked}: {stored.key!r} != {key!r}"
             )
         checked += 1
-    if checked < len(existing):
+    if checked < len(records):
         raise CensusAssertionError(
-            f"records file holds {len(existing)} records but the enumeration yields {checked}"
+            f"records file holds {len(records)} records but the enumeration yields {checked}"
         )
     rest = itertools.islice(models, limit)
-    written = 0
     with open(path, "a", encoding="utf-8") as sink, ThreadPoolExecutor(config.threads) as pool:
         run = pool.map if config.threads > 1 else map
         while batch := list(itertools.islice(rest, 8 * config.threads)):
             for record in run(lambda model: compute_record(config, model, record_key(model)), batch):
                 sink.write(_record_line(record))
+                records.append(record)
             sink.flush()
-            written += len(batch)
-    return len(existing) + written
+    return records
 
 
 def load_records(path) -> list[CensusRecord]:
     """Every record of a records file; a malformed file raises a SchemaError or MalformedJsonError."""
-    records = []
     try:
         fh = open(path, "rb")
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     with fh:
-        for number, line in enumerate(fh, 1):
-            try:
-                data = json.loads(line)
-            except ValueError as exc:
-                raise MalformedJsonError(f"{path} line {number} is not valid JSON: {exc}") from exc
-            try:
-                records.append(CensusRecord.from_json(data))
-            except (ArithmeticError, AttributeError, KeyError, TypeError, ValueError, DynresError) as exc:
-                raise SchemaError(f"{path} line {number} is not a census record: {exc!r}") from exc
+        return _read_lines(path, fh)
+
+
+def _read_lines(path, lines) -> list[CensusRecord]:
+    """The record of each line, or the error naming the first line that is not one."""
+    records = []
+    for number, line in enumerate(lines, 1):
+        try:
+            data = json.loads(line)
+        except ValueError as exc:
+            raise MalformedJsonError(f"{path} line {number} is not valid JSON: {exc}") from exc
+        try:
+            records.append(CensusRecord.from_json(data))
+        except (ArithmeticError, AttributeError, KeyError, TypeError, ValueError, DynresError) as exc:
+            raise SchemaError(f"{path} line {number} is not a census record: {exc!r}") from exc
     return records
 
 
@@ -447,9 +448,8 @@ def render_report(summary: CensusSummary) -> str:
 
 
 def run_census(config: CensusConfig) -> CensusSummary:
-    """Stream all records, then summarize, asserting the census contracts."""
-    stream_records(config)
-    records = load_records(config.records_path)
+    """Stream all records, then summarize the ones streamed, asserting the census contracts."""
+    records = stream_records(config)
     meta = {**config.settings(), "conventions": CONVENTIONS}
     summary = summarize_records(records, config.B, config.budget, meta)
     config.summary_path.write_text(

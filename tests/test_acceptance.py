@@ -309,7 +309,7 @@ def test_criterion_8_census_finiteness(census_run):
 
 def test_criterion_9_resumability(tmp_path):
     base = CensusConfig(n=1, d=2, coeff_bound=1, B=8, budget=CENSUS_BUDGET, output_prefix=str(tmp_path / "full"))
-    total = stream_records(base)
+    total = len(stream_records(base))
     reference = base.records_path.read_bytes()
 
     interrupted = CensusConfig(

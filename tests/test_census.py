@@ -13,6 +13,7 @@ from dynres import (
     CensusConfigMismatchError,
     CensusConfig,
     InvalidArgumentError,
+    MalformedJsonError,
     MorphismModel,
     SchemaError,
     SearchBudget,
@@ -153,22 +154,48 @@ def test_resume_truncates_partial_tail(tmp_path):
 
 def test_resume_refuses_unreadable_complete_lines(tmp_path):
     # only a last line without its newline can come from a kill; any other bad line stops the resume
+    # with the error that load_records (and so dynres report) gives for it
     config = _config(tmp_path, "garbled")
     stream_records(config, limit=20)
     lines = config.records_path.read_bytes().splitlines(keepends=True)
-    for number, bad in ((4, b'{"garbage\n'), (20, b"\n"), (1, b'["key"]\n')):
+    cases = (
+        (4, b'{"garbage\n', MalformedJsonError, "is not valid JSON"),
+        (20, b"\n", MalformedJsonError, "is not valid JSON"),
+        (1, b'["key"]\n', SchemaError, "is not a census record"),
+    )
+    for number, bad, error, why in cases:
         garbled = b"".join(lines[: number - 1] + [bad] + lines[number:])
         config.records_path.write_bytes(garbled)
-        with pytest.raises(CensusAssertionError) as excinfo:
+        with pytest.raises(error) as excinfo:
             stream_records(config, limit=0)
-        assert f"line {number} is not a census record" in str(excinfo.value)
+        assert type(excinfo.value) is error
+        assert f"{config.records_path} line {number} {why}" in str(excinfo.value)
         assert config.records_path.read_bytes() == garbled
     # the same bad line ahead of a torn tail: the file is still left as it is
     garbled = b"".join(lines[:3] + [b"{\n"] + lines[4:]) + b'{"key": "1|2|torn'
     config.records_path.write_bytes(garbled)
-    with pytest.raises(CensusAssertionError):
+    with pytest.raises(MalformedJsonError) as excinfo:
         stream_records(config, limit=0)
+    assert f"{config.records_path} line 4 is not valid JSON" in str(excinfo.value)
     assert config.records_path.read_bytes() == garbled
+
+
+def test_resume_refuses_a_forged_prefix_line_before_appending(tmp_path):
+    # line 3 keeps its key, so only reading the whole record shows the forgery
+    config = _config(tmp_path, "forged")
+    stream_records(config, limit=5)
+    lines = config.records_path.read_bytes().splitlines(keepends=True)
+    line = json.loads(lines[2])
+    assert line["mult_height"] != "1"
+    line["mult_height"] = "1"
+    lines[2] = (json.dumps(line, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    forged = b"".join(lines)
+    config.records_path.write_bytes(forged)
+    with pytest.raises(SchemaError) as excinfo:
+        stream_records(config)
+    assert f"{config.records_path} line 3 is not a census record" in str(excinfo.value)
+    assert "mult_height" in str(excinfo.value)
+    assert config.records_path.read_bytes() == forged
 
 
 def test_resume_rejects_foreign_records(tmp_path):
@@ -180,8 +207,26 @@ def test_resume_rejects_foreign_records(tmp_path):
     foreign.records_path.write_bytes(b"".join(lines))
     with pytest.raises(CensusAssertionError) as excinfo:
         stream_records(foreign)
-    assert str(excinfo.value).startswith("records file mismatches the enumeration at index 2: ")
+    stored, enumerated = json.loads(lines[2])["key"], json.loads(lines[3])["key"]
+    assert str(excinfo.value) == f"records file mismatches the enumeration at index 2: {stored!r} != {enumerated!r}"
     assert foreign.records_path.read_bytes() == b"".join(lines)
+
+
+def test_streamed_records_are_the_records_on_disk(tmp_path):
+    # stream_records returns what a reload would read, so run_census can summarize it directly
+    config = _config(tmp_path, "resumed")
+    stream_records(config, limit=50)
+    with open(config.records_path, "ab") as fh:
+        fh.write(b'{"key": "1|2|torn-off-mid-wri')
+    records = stream_records(config)
+    assert len(records) == 240
+    assert records == load_records(config.records_path)
+
+    interrupted = _config(tmp_path, "interrupted")
+    stream_records(interrupted, limit=77)
+    fresh = _config(tmp_path, "fresh")
+    assert run_census(interrupted).to_json() == run_census(fresh).to_json()
+    assert interrupted.records_path.read_bytes() == fresh.records_path.read_bytes()
 
 
 def test_resume_refuses_other_settings(tmp_path):
@@ -222,11 +267,11 @@ def test_threads_do_not_change_bytes(tmp_path):
 
 def test_threads_limit_then_resume_matches_one_thread(tmp_path):
     one = _config(tmp_path, "one", threads=1)
-    assert stream_records(one) == 240
+    assert len(stream_records(one)) == 240
     two = _config(tmp_path, "two", threads=2)
-    assert stream_records(two, limit=37) == 37
+    assert len(stream_records(two, limit=37)) == 37
     assert len(two.records_path.read_bytes().splitlines()) == 37
-    assert stream_records(two) == 240
+    assert len(stream_records(two)) == 240
     assert two.records_path.read_bytes() == one.records_path.read_bytes()
 
 
@@ -251,7 +296,7 @@ def test_failed_record_leaves_a_resumable_file(tmp_path, monkeypatch):
     left = broken.records_path.read_bytes()
     # the batch's records before the failing one are on disk, whole
     assert reference.startswith(left) and len(left.splitlines()) == 12
-    assert stream_records(broken) == 240
+    assert len(stream_records(broken)) == 240
     assert broken.records_path.read_bytes() == reference
 
 
