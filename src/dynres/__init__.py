@@ -31,7 +31,6 @@ from .errors import (
 )
 from .exact_arithmetic import (
     INFINITY,
-    FactoredIdeal,
     factor_integer,
     is_prime,
     primes_up_to,

@@ -216,10 +216,15 @@ def enumerate_models(n: int, d: int, coeff_bound: int):
             yield model
 
 
+def _in_gamma(norm: int, mult_height: int, B: int) -> bool:
+    """Gamma_B membership: the norm upper bound and the multiplicative moduli height are both <= B."""
+    return norm <= B and mult_height <= B
+
+
 def compute_record(config: CensusConfig, model: MorphismModel, key: str) -> CensusRecord:
     report = reduction_report(model, config.budget)
     moduli = _primitive_moduli_height(report.morphism, report.res)
-    record = CensusRecord(key, report, moduli, report.norm <= config.B and moduli.mult_height <= config.B)
+    record = CensusRecord(key, report, moduli, _in_gamma(report.norm, moduli.mult_height, config.B))
     # S_B is the primes up to B, and every bad prime is a prime
     if record.in_gamma and any(p > config.B for p in record.bad_primes()):
         raise CensusAssertionError(f"record {key} has a bad prime outside S_B", record)
@@ -276,8 +281,9 @@ def stream_records(config: CensusConfig, limit: int | None = None) -> list[Censu
     ``PREFIX.config.json``); a last line without its newline (from a kill
     mid-write) is truncated, any other line that ``load_records`` refuses is
     refused with its error, and every stored key is checked against the
-    enumeration before any new record is computed.  The rest is appended in
-    batches of 8 * threads records, each flushed before the next starts, so a
+    enumeration and every stored ``in_gamma`` against ``config.B`` before any
+    new record is computed.  The rest is appended in batches of
+    8 * threads records, each flushed before the next starts, so a
     kill loses at most the batch in flight.  Returns the records now
     persisted: the stored prefix, read once, then the new records as computed.
     ``limit`` bounds how many new records are written (test hook for
@@ -294,6 +300,12 @@ def stream_records(config: CensusConfig, limit: int | None = None) -> list[Censu
         if stored.key != key:
             raise CensusAssertionError(
                 f"records file mismatches the enumeration at index {checked}: {stored.key!r} != {key!r}"
+            )
+        if stored.in_gamma != _in_gamma(stored.norm, stored.mult_height, config.B):
+            raise CensusAssertionError(
+                f"{path} line {checked + 1} has in_gamma {json.dumps(stored.in_gamma)}, "
+                f"but its norm {stored.norm} and mult_height {stored.mult_height} at B = {config.B} say otherwise",
+                stored,
             )
         checked += 1
     if checked < len(records):
@@ -366,7 +378,7 @@ class CensusSummary:
 
 def summarize_records(records: list[CensusRecord], B: int, budget: SearchBudget, meta: dict) -> CensusSummary:
     """Class-count intervals over the B grid, plus the per-record hard checks."""
-    members = [r for r in records if r.norm <= B and r.mult_height <= B]
+    members = [r for r in records if _in_gamma(r.norm, r.mult_height, B)]
     buckets = bucket_twists([r.model for r in members], budget, [r.sigma for r in members])
     classes = []
     key_to_class: dict[str, str] = {}
@@ -388,7 +400,7 @@ def summarize_records(records: list[CensusRecord], B: int, budget: SearchBudget,
     per_b = []
     for b in b_grid(B):
         allowed = set(s_b_primes(b))
-        members_b = [r for r in records if r.norm <= b and r.mult_height <= b]
+        members_b = [r for r in records if _in_gamma(r.norm, r.mult_height, b)]
         for r in members_b:
             if not set(r.bad_primes()).issubset(allowed):
                 raise CensusAssertionError(f"record {r.key} has a bad prime outside S_{b}", r)
@@ -433,7 +445,7 @@ def render_report(summary: CensusSummary) -> str:
         % (meta.get("n"), meta.get("d"), "?" if bound is None else bound, meta.get("B"), summary.total_models)
     )
     lines.append(summary.meta.get("conventions", CONVENTIONS))
-    header = f"{'B':>6} {'gamma':>7} {'possible':>9} {'classes':>12} {'sigma-keys':>11} {'S_B':>24}"
+    header = f"{'B':>6} {'gamma':>7} {'possible':>9} {'classes':>12} {'northcott':>11} {'S_B':>24}"
     lines.append(header)
     lines.append("-" * len(header))
     for entry in summary.per_b:
@@ -441,7 +453,7 @@ def render_report(summary: CensusSummary) -> str:
         sb = ",".join(str(p) for p in entry["sb_primes"]) or "-"
         lines.append(
             f"{entry['B']:>6} {entry['gamma_definite']:>7} {entry['gamma_possible_extra']:>9} "
-            f"{classes:>12} {entry['class_count_lower']:>11} {sb:>24}"
+            f"{classes:>12} {entry['northcott_sigma_keys']:>11} {sb:>24}"
         )
     lines.append(f"monic polynomial maps: {summary.monic['count']} (all with unit minimal resultant ideal)")
     return "\n".join(lines) + "\n"

@@ -1,15 +1,13 @@
-"""Exact arithmetic over Q: p-adic valuations, primes, factored integer ideals.
+"""Exact arithmetic over Q: p-adic valuations, primes, integer factorization.
 
 Rationals are ``fractions.Fraction`` throughout (already canonical: reduced,
-positive denominator).  A "place" is a prime integer; an ideal of Z is kept
-in factored form.
+positive denominator).  A "place" is a prime integer.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidArgumentError, UnfactoredResidueError
@@ -100,40 +98,6 @@ def primes_up_to(B) -> list[int]:
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
     return [i for i in range(2, limit + 1) if sieve[i]]
-
-
-@dataclass(frozen=True, slots=True)
-class FactoredIdeal:
-    """A nonzero ideal of Z as a finite multiset of (prime, exponent >= 1) pairs.
-
-    The empty factor tuple is the unit ideal.
-    """
-
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        last = 1
-        for p, e in self.factors:
-            if not is_prime(p):
-                raise InvalidArgumentError(f"non-prime factor {p}")
-            if e < 1:
-                raise InvalidArgumentError(f"exponent {e} < 1 for prime {p}")
-            if p <= last:
-                raise InvalidArgumentError("factors must be strictly ascending")
-            last = p
-
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
-    def norm(self) -> int:
-        """Product of p**e over the factors; 1 for the unit ideal."""
-        n = 1
-        for p, e in self.factors:
-            n *= p**e
-        return n
-
-    def to_json(self) -> dict[str, int]:
-        return {str(p): e for p, e in self.factors}
 
 
 def _pollard_rho(n: int, seed: int) -> int:

@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from . import _matrix
 from .errors import InvalidArgumentError
-from .exact_arithmetic import FactoredIdeal, _ord_int, factor_integer, primes_up_to, rational_to_string, valuation
+from .exact_arithmetic import _ord_int, factor_integer, primes_up_to, rational_to_string, valuation
 from .morphism_space import (
     MorphismModel,
     conjugate_integer_rows,
@@ -99,8 +99,9 @@ class ReductionReport:
     local: tuple[LocalExponent, ...]
 
     @property
-    def minimal_resultant(self) -> FactoredIdeal:
-        return FactoredIdeal(tuple((e.p, e.eps_estimate) for e in self.local if e.eps_estimate))
+    def minimal_resultant(self) -> dict[int, int]:
+        """The minimal resultant ideal as {p: eps} over the primes with eps >= 1, ascending; {} is the unit ideal."""
+        return {e.p: e.eps_estimate for e in self.local if e.eps_estimate}
 
     @property
     def norm(self) -> int:
@@ -130,7 +131,7 @@ class ReductionReport:
         return {
             "res": rational_to_string(self.res),
             "local": [e.to_json() for e in self.local],
-            "minimal_resultant": self.minimal_resultant.to_json(),
+            "minimal_resultant": {str(p): eps for p, eps in self.minimal_resultant.items()},
             "norm": str(self.norm),
             "fully_certified": self.fully_certified,
         }

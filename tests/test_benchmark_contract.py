@@ -2,8 +2,11 @@
 
 perfbench/tracer.py wraps the functions its BOUNDARIES list, and the
 workloads perfbench/wl_*.py call the package through attribute chains such as
-``dynres.MorphismModel.from_coeff_lists``.  Both are looked up only while a
-benchmark runs, so without these checks a renamed or deleted name would break
+``dynres.MorphismModel.from_coeff_lists``.  Two workloads also replace a
+package function by assignment to time or count it, which works only while
+the package calls that function through its module global.  All of this is
+looked up only while a benchmark runs, so without these checks a renamed or
+deleted name, or a call that stopped going through the global, would break
 the benchmark unnoticed.  The files are parsed, not imported or run.
 """
 
@@ -11,6 +14,8 @@ import ast
 import importlib
 import inspect
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -228,3 +233,64 @@ def test_census_warm_up_does_no_witness_work(monkeypatch):
     bucket_twists([model, model], SearchBudget(*wl["BUDGET"]))
     assert conjugacy_twists._witness_candidates.cache_info().currsize == 0
     assert conjugations == []
+
+
+def _patched_names() -> set[str]:
+    """Every dynres name a workload assigns to, such as ``census.compute_record = timed_compute_record``."""
+    names = set()
+    for _, tree in _workload_trees():
+        resolve = _chain_resolver(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                names |= {resolve(target) for target in node.targets if isinstance(target, ast.Attribute)}
+    return names - {None}
+
+
+def _probe_compute_record(monkeypatch, tmp_path):
+    # wl_census times each record by replacing the function stream_records looks up as a module global
+    from dynres import CensusConfig, SearchBudget, census, stream_records
+
+    calls = []
+    inner = census.compute_record
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(census, "compute_record", counted)
+    config = CensusConfig(n=1, d=2, coeff_bound=1, B=8, budget=SearchBudget(4, 2, 2), output_prefix=str(tmp_path / "c"))
+    stream_records(config, limit=3)
+    assert len(calls) == 3
+
+
+def _probe_conjugated_exponent(monkeypatch, tmp_path):
+    # wl_query_mix counts the tree walk's moves (cliff.p17_moves) by replacing the function _descend calls
+    from conftest import twist
+    from dynres import default_budget, reduction_report, reduction_theory
+
+    calls = []
+    inner = reduction_theory.conjugated_exponent
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(reduction_theory, "conjugated_exponent", counted)
+    reduction_report(twist(8), default_budget(2))
+    assert calls
+
+
+PATCH_PROBES = {
+    "dynres.census.compute_record": _probe_compute_record,
+    "dynres.reduction_theory.conjugated_exponent": _probe_conjugated_exponent,
+}
+
+
+def test_workload_patches_are_probed():
+    assert _patched_names() == set(PATCH_PROBES)
+
+
+@pytest.mark.parametrize("name", sorted(PATCH_PROBES))
+def test_workload_patch_is_called(name, monkeypatch, tmp_path):
+    # a patch the package no longer calls through would read 0 or crash the run, not fail a check
+    PATCH_PROBES[name](monkeypatch, tmp_path)

@@ -198,6 +198,29 @@ def test_resume_refuses_a_forged_prefix_line_before_appending(tmp_path):
     assert config.records_path.read_bytes() == forged
 
 
+def test_resume_refuses_an_in_gamma_the_census_b_contradicts(tmp_path, capsys):
+    # line 3 has norm 1 and mult_height 26, so it is outside Gamma_8; the line is otherwise what the census writes
+    config = _config(tmp_path, "in_gamma")
+    stream_records(config, limit=5)
+    lines = config.records_path.read_bytes().splitlines(keepends=True)
+    line = json.loads(lines[2])
+    assert (line["norm"], line["mult_height"], line["in_gamma"]) == ("1", "26", False)
+    line["in_gamma"] = True
+    lines[2] = (json.dumps(line, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    forged = b"".join(lines)
+    config.records_path.write_bytes(forged)
+    load_records(config.records_path)  # report takes in_gamma as written: it does not know the census B
+    with pytest.raises(CensusAssertionError) as excinfo:
+        stream_records(config)
+    assert str(excinfo.value).startswith(f"{config.records_path} line 3 has in_gamma true")
+    assert config.records_path.read_bytes() == forged
+    argv = ["--n", "1", "--d", "2", "--H", "1", "--B", "8", "--budget", "4,2,2", "--out", config.output_prefix]
+    assert main(["census", *argv]) == 2
+    error = json.loads(capsys.readouterr().out)
+    assert error["error"] == "census-assertion" and "line 3 has in_gamma true" in error["message"]
+    assert config.records_path.read_bytes() == forged
+
+
 def test_resume_rejects_foreign_records(tmp_path):
     # same settings and config file, but lines 3 and 4 are out of enumeration order
     foreign = _config(tmp_path, "foreign", coeff_bound=1)
@@ -342,14 +365,23 @@ def test_run_census_h1_summary(tmp_path):
         assert small["class_count_lower"] <= big["class_count_lower"]
         assert small["class_count_upper"] <= big["class_count_upper"]
     assert config.summary_path.exists()
-    report = config.report_path.read_text()
-    assert "census n=1 d=2 H=1" in report
+    report = config.report_path.read_text().splitlines()
+    assert report[0] == "census n=1 d=2 H=1 B=8 (240 models)"
+    # northcott counts the sigma keys of height <= B whatever the norm, so it reads 1 at B = 1
+    assert report[2:8] == [
+        "     B   gamma  possible      classes   northcott                      S_B",
+        "-" * 74,
+        "     1       0         4        [0,0]           1                        -",
+        "     2      18         0        [3,3]           3                        2",
+        "     4      50         0        [8,9]           8                      2,3",
+        "     8     106         0      [20,21]          20                  2,3,5,7",
+    ]
 
-    # B=1 members could only be everywhere-good-reduction classes
+    # the norm-1 records are exactly those whose minimal resultant ideal is the unit ideal {}
     records = load_records(config.records_path)
+    assert any(record.norm == 1 for record in records)
     for record in records:
-        if record.norm <= 1 and record.mult_height <= 1:
-            assert record.report.minimal_resultant.norm() == 1
+        assert (record.norm == 1) == (record.report.minimal_resultant == {})
 
     # monic polynomial maps all carry the unit ideal, certified
     monic = [r for r in records if r.model.forms[1] == (0, 0, 1) and r.model.forms[0][0] == 1]

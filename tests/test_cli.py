@@ -51,6 +51,33 @@ def test_reduce_schema(tmp_path, capsys):
     assert payload["fully_certified"] is False
 
 
+REDUCE_GOLDEN = {
+    "unit_ideal": (
+        z_squared(),
+        '{"fully_certified":true,"local":[],"minimal_resultant":{},"norm":"1","res":"1"}\n',
+    ),
+    "z_plus_8_over_z": (
+        twist(8),
+        '{"fully_certified":false,"local":[{"certified":false,"e":3,"eps":1,"p":"2"}],'
+        '"minimal_resultant":{"2":1},"norm":"2","res":"8"}\n',
+    ),
+    # z + 22/z: JSON sorts the key "11" before "2", while local stays in ascending p
+    "two_bad_primes": (
+        bq(1, 0, 22, 0, 1, 0),
+        '{"fully_certified":false,"local":[{"certified":false,"e":1,"eps":1,"p":"2"},'
+        '{"certified":false,"e":1,"eps":1,"p":"11"}],"minimal_resultant":{"11":1,"2":1},"norm":"22","res":"22"}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REDUCE_GOLDEN))
+def test_reduce_golden_bytes(tmp_path, capsys, name):
+    model, expected = REDUCE_GOLDEN[name]
+    code, out = _run(capsys, ["reduce", _write_model(tmp_path, f"{name}.json", model)])
+    assert code == 0
+    assert out == expected
+
+
 def test_invariants_z_squared(tmp_path, capsys):
     path = _write_model(tmp_path, "z2.json", z_squared())
     code, out = _run(capsys, ["invariants", path])

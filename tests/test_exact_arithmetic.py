@@ -5,7 +5,6 @@ import pytest
 from conftest import random_model
 from dynres import (
     INFINITY,
-    FactoredIdeal,
     InvalidArgumentError,
     UnfactoredResidueError,
     factor_integer,
@@ -40,39 +39,6 @@ def test_valuation_multiplicative(rng):
         if x == 0 or y == 0:
             continue
         assert valuation(x * y, p) == valuation(x, p) + valuation(y, p)
-
-
-def _ideal(factors: dict) -> FactoredIdeal:
-    """The ideal prod p^e, zero exponents dropped."""
-    return FactoredIdeal(tuple(sorted((p, e) for p, e in factors.items() if e)))
-
-
-def test_ideal_norm_examples():
-    assert FactoredIdeal(()).norm() == 1
-    assert _ideal({2: 3}).norm() == 8
-    assert _ideal({2: 1, 3: 2}).norm() == 18
-
-
-def test_ideal_norm_multiplicative(rng):
-    for _ in range(50):
-        a = {p: rng.randint(0, 3) for p in (2, 3, 5, 7)}
-        b = {p: rng.randint(0, 3) for p in (3, 5, 11)}
-        product = {p: a.get(p, 0) + b.get(p, 0) for p in a.keys() | b.keys()}
-        assert _ideal(product).norm() == _ideal(a).norm() * _ideal(b).norm()
-
-
-def test_factored_ideal_validation():
-    with pytest.raises(InvalidArgumentError):
-        FactoredIdeal(((4, 1),))
-    with pytest.raises(InvalidArgumentError):
-        FactoredIdeal(((2, 0),))
-    with pytest.raises(InvalidArgumentError):
-        FactoredIdeal(((3, 1), (2, 1)))  # must be ascending
-
-
-def test_factored_ideal_json_round_trip():
-    ideal = _ideal({2: 3, 11: 1})
-    assert ideal.to_json() == {"2": 3, "11": 1}
 
 
 def test_primes_up_to_examples():

@@ -12,7 +12,6 @@ PUBLIC = [
     "CensusSummary",
     "ConjugacyVerdict",
     "DynresError",
-    "FactoredIdeal",
     "INFINITY",
     "InvalidArgumentError",
     "LinearMap",

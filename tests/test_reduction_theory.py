@@ -7,7 +7,6 @@ import pytest
 
 from conftest import binary, bq, random_morphism, search_moves, twist, z_squared
 from dynres import (
-    FactoredIdeal,
     InvalidArgumentError,
     LinearMap,
     LocalExponent,
@@ -154,17 +153,17 @@ def test_search_moves_monotone_sets():
 def test_reduction_report_examples():
     budget = default_budget(2)
     rep = reduction_report(z_squared(), budget)
-    assert rep.minimal_resultant == FactoredIdeal(())
+    assert rep.minimal_resultant == {}
     assert rep.norm == 1 and rep.fully_certified
 
     rep = reduction_report(binary(2, [4, 0, 0], [0, 0, 1]), budget)
-    assert rep.minimal_resultant == FactoredIdeal(())
+    assert rep.minimal_resultant == {}
     assert rep.norm == 1 and rep.fully_certified
 
     # z + 8/z is conjugate to z + 2/z by z -> 2z, so the searched minimum at 2 is 1
     rep = reduction_report(twist(8), budget)
     assert rep.res == 8
-    assert rep.minimal_resultant == FactoredIdeal(((2, 1),))
+    assert rep.minimal_resultant == {2: 1}
     assert rep.norm == 2
     assert rep.bad_primes() == (2,)
     assert not rep.fully_certified
@@ -183,8 +182,8 @@ def test_norm_and_bad_primes_match_the_minimal_resultant_ideal(rng):
     models = [z_squared(), twist(8), bq(1, 0, 6, 0, 1, 0)] + [random_morphism(rng, 1, 2) for _ in range(40)]
     reports = [reduction_report(m, budget) for m in models]
     for rep in reports:
-        assert rep.norm == rep.minimal_resultant.norm()
-        assert rep.bad_primes() == rep.minimal_resultant.primes()
+        assert rep.norm == math.prod(p**e for p, e in rep.minimal_resultant.items())
+        assert rep.bad_primes() == tuple(rep.minimal_resultant) == tuple(sorted(rep.minimal_resultant))
     assert sum(len(rep.bad_primes()) >= 2 for rep in reports) >= 3
 
 
